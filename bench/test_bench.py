@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import check
+import run
 import spans
 import workloads
 
@@ -155,3 +156,12 @@ def test_tracer_records_parents_and_restores_functions():
     assert [(s.name, s.parent, s.counts) for s in tracer.spans] == [
         ("cli.main", None, {}), ("layer.inner", 0, {"calls": 1}),
     ]
+
+
+def test_reference_seconds_cancels_host_speed():
+    f = workloads.minterm_function(random.Random(1), "f", 4, 3)
+    runner = run.Runner(cli, None, workloads.Workload("w", (f,), (workloads.profile(f, "table"), workloads.synth(f, 3))), None)
+    # Each pass runs at another host speed; the command/yardstick ratios do not change.
+    runner.seconds = [[0.1, 0.2, 0.3], [1.0, 2.0, 2.5]]
+    runner.yardsticks = [[0.01, 0.02, 0.03], [0.01, 0.02, 0.02]]
+    assert runner.reference_seconds() == pytest.approx(run.YARDSTICK_REF_S * (10 + 100))
