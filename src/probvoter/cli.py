@@ -9,6 +9,8 @@ Subcommands:
   plot       turn a results CSV into a gnuplot script and data file
 
 Exit codes: 0 success, 2 usage or configuration error, 3 input parse error.
+A reader that closes stdout early (`probvoter synth ... | head`) ends the
+run quietly with 0.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -341,10 +345,17 @@ def cmd_plot(args) -> int:
         if len(parts) != 7:
             raise _CliError(f"{args.csv}: expected 7 columns, got {len(parts)}", EXIT_PARSE)
         try:
-            for part in parts:
-                float(part)
+            values = [float(part) for part in parts]
         except ValueError:
             raise _CliError(f"{args.csv}: malformed row {line!r}", EXIT_PARSE) from None
+        # pe and the three availabilities are probabilities; the error and
+        # trial columns are counts
+        if not (
+            all(map(math.isfinite, values))
+            and all(0 <= value <= 1 for value in values[:4])
+            and min(values[4:]) >= 0
+        ):
+            raise _CliError(f"{args.csv}: value out of range in row {line!r}", EXIT_PARSE)
         rows.append(parts)
     if not rows:
         raise _CliError(f"{args.csv}: no data rows", EXIT_PARSE)
@@ -445,4 +456,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def app() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's own flush at exit
+        # cannot hit the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    raise SystemExit(code)

@@ -7,34 +7,73 @@ replica in index order to decide whether its output bit flips), and every
 sweep cell runs on its own substream derived from the master seed.  Adding
 or removing observers therefore never perturbs the stream, and each flip
 probability sees freshly drawn inputs -- nothing is reused across cells.
+
+SplitMix64 is counter-based: draw d of a substream that starts at state s0
+is mix(s0 + d*GOLDEN mod 2^64).  A cell is therefore evaluated a chunk of
+trials at a time, with one draw per 128-bit lane of a Python int.  Lane j
+of the row integer holds trial j's first state and the replica-r integer
+holds the state r + 1 draws later; the mixer, the flip test and the vote
+thresholds all run lane-wise as whole-integer operations, and `bit_count`
+tallies the lanes.  The only per-trial step left is looking up each
+trial's golden output.  The counts equal those of drawing the stream one
+value at a time, trial after trial (the tests keep that loop as the oracle).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .logic import TruthTable
-from .voter import VoterTable
+from .voter import MAX_REPLICAS, VoterTable
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_TO_UNIT = 2.0**-53
+
+# Trials per chunk: bounds a cell's memory to a few 64 KiB integers for any
+# trial count.
+CHUNK = 4096
+_LANE_BITS = 128
+_LANE_BYTES = _LANE_BITS // 8
+# The low 64-bit word of every lane, in lane order, when a packed integer
+# is written out in the machine's byte order and cast to native words.
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+def _lane_constants(count: int) -> tuple[int, int]:
+    """(ONES, RAMP) for `count` lanes (a power of two): lane j holds 1 and j."""
+    ones, ramp, filled = 1, 0, 1
+    while filled < count:
+        ramp |= (ramp + filled * ones) << (_LANE_BITS * filled)
+        ones |= ones << (_LANE_BITS * filled)
+        filled *= 2
+    return ones, ramp
+
+
+_ONES, _RAMP = _lane_constants(CHUNK)
+_LANES = _ONES * _MASK64
+_LOW53 = _ONES * ((1 << 53) - 1)
+_STEPS = _ONES * _GOLDEN
+
+
+def _mix(z: int, lanes: int = _MASK64) -> int:
+    """SplitMix64's output function, applied to every 64-bit lane of z.
+
+    `lanes` holds 2^64 - 1 in each lane; the default treats z as a single
+    64-bit value.  Masking each shift keeps bits from crossing into the
+    next lane, and lanes 128 bits apart leave room for each 64x64-bit
+    product, so no carry reaches a neighbour either.
+    """
+    z = ((z ^ (z >> 30 & lanes)) * 0xBF58476D1CE4E5B9) & lanes
+    z = ((z ^ (z >> 27 & lanes)) * 0x94D049BB133111EB) & lanes
+    return z ^ (z >> 31 & lanes)
 
 
 def rng_next(state: int) -> tuple[int, int]:
     """One SplitMix64 step: (new_state, 64-bit output)."""
     state = (state + _GOLDEN) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
-def unit_interval(value: int) -> float:
-    """Map a 64-bit output to [0, 1) with 53-bit resolution."""
-    return (value >> 11) * _TO_UNIT
+    return state, _mix(state)
 
 
 def substream_state(master_seed: int, index: int) -> int:
@@ -43,47 +82,15 @@ def substream_state(master_seed: int, index: int) -> int:
     return rng_next(mixed)[1]
 
 
-def inject(bit: int, pe, state: int) -> tuple[int, int]:
-    """Flip `bit` with probability pe, consuming exactly one draw."""
-    state, value = rng_next(state)
-    if unit_interval(value) < pe:
-        bit ^= 1
-    return bit, state
-
-
 def flip_cutoff(pe: Fraction) -> int:
-    """Integer c with (value >> 11) < c  iff  unit_interval(value) < pe.
+    """Integer c with (value >> 11) < c  iff  (value >> 11) * 2^-53 < pe.
 
-    Both sides of the float comparison in `inject` are exact: the 53-bit
-    draw is a dyadic rational and the comparison against a `Fraction`
-    happens in exact arithmetic, so c = ceil(pe * 2^53) reproduces it with
-    pure integers (used by the sweep's hot loop).
+    The right-hand side is the flip test on a draw's 53-bit unit-interval
+    value.  Both of its sides are exact -- the draw is a dyadic rational and
+    the comparison against a `Fraction` happens in exact arithmetic -- so
+    c = ceil(pe * 2^53) reproduces it with pure integers.
     """
     return -(-(pe.numerator << 53) // pe.denominator)
-
-
-def run_trial(
-    function: TruthTable,
-    k: int,
-    voters: Sequence[VoterTable],
-    pe,
-    state: int,
-) -> tuple[tuple[bool, ...], bool, int]:
-    """One fault-injection trial.
-
-    Draws a uniform input row, computes the golden output, derives each
-    replica's (possibly flipped) bit in order, and scores every voter plus
-    the bare module (replica 1) against the golden bit.  Returns
-    (per-voter correctness, module correctness, new rng state).
-    """
-    state, value = rng_next(state)
-    golden = function.outputs[value & ((1 << function.arity) - 1)]
-    bits = []
-    for _ in range(k):
-        bit, state = inject(golden, pe, state)
-        bits.append(bit)
-    flags = tuple(v.apply(bits) == golden for v in voters)
-    return flags, bits[0] == golden, state
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,12 @@ class SimConfig:
         object.__setattr__(
             self, "pe_values", tuple(Fraction(pe) for pe in self.pe_values)
         )
-        if not 1 <= self.k <= 16:
-            raise ValueError(f"replica count must be between 1 and 16, got {self.k}")
+        # _run_cell counts each trial's unflipped replicas in an 8-bit field
+        # of its lane, which holds only while MAX_REPLICAS < 256.
+        if not 1 <= self.k <= MAX_REPLICAS:
+            raise ValueError(
+                f"replica count must be between 1 and {MAX_REPLICAS}, got {self.k}"
+            )
         labels = [label for label, _ in self.voters]
         if len(set(labels)) != len(labels):
             raise ValueError("voter labels must be unique")
@@ -154,40 +165,53 @@ class AvailabilityRecord:
 
 
 def _run_cell(config: SimConfig, index: int, pe: Fraction) -> AvailabilityRecord:
-    # Inlined generator and threshold votes: identical draw-for-draw to a
-    # run_trial chain (see the equivalence tests) but ~20x faster, which
-    # keeps full sweeps interactive without leaving pure Python.
-    state = substream_state(config.master_seed, index)
-    outputs = config.function.outputs
-    row_mask = (1 << config.function.arity) - 1
     k = config.k
-    cutoff = flip_cutoff(pe)
+    outputs = config.function.outputs
     thresholds = [voter.threshold for _, voter in config.voters]
     counts = [0] * len(thresholds)
     module_correct = 0
+    first_state = substream_state(config.master_seed, index)
 
-    for _ in range(config.trials):
-        state = (state + _GOLDEN) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        golden = outputs[(z ^ (z >> 31)) & row_mask]
+    # Lane constants for a full chunk.  Only `ones` and `lanes` are cut to
+    # a short last chunk: every other constant meets one of them in an `&`
+    # before its extra lanes could reach a count.
+    trial_steps = _RAMP * ((k + 1) * _GOLDEN & _MASK64)
+    row_masks = _ONES * ((1 << config.function.arity) - 1)
+    # A replica keeps its bit iff (draw >> 11) >= cutoff, i.e. iff adding
+    # 2^53 - cutoff to the 53-bit value carries into bit 53.
+    flip_bias = _ONES * ((1 << 53) - flip_cutoff(pe))
+    # A voter with threshold t is right on a golden-1 trial iff kept >= t
+    # and on a golden-0 trial iff kept >= k - t + 1.  `kept` is at most
+    # MAX_REPLICAS, so bit 8 of kept + 256 - a tests kept >= a per lane.
+    vote_biases = [(_ONES * (256 - t), _ONES * (255 - k + t)) for t in thresholds]
 
-        ones = 0
-        first = golden
+    for start in range(0, config.trials, CHUNK):
+        size = min(CHUNK, config.trials - start)
+        keep = (1 << _LANE_BITS * size) - 1
+        ones, lanes = _ONES & keep, _LANES & keep
+        row_state = (first_state + (start * (k + 1) + 1) * _GOLDEN) & _MASK64
+        state = (row_state * ones + trial_steps) & lanes
+
+        width = size * _LANE_BYTES
+        rows = (_mix(state, lanes) & row_masks).to_bytes(width, sys.byteorder)
+        golden_bytes = bytearray(width)
+        golden_bytes[::_LANE_BYTES] = bytes(
+            map(outputs.__getitem__, memoryview(rows).cast("Q")[_LOW_WORDS].tolist())
+        )
+        golden = int.from_bytes(golden_bytes, "little")
+
+        kept = 0
         for r in range(k):
-            state = (state + _GOLDEN) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            bit = golden ^ (((z ^ (z >> 31)) >> 11) < cutoff)
-            ones += bit
+            state = (state + _STEPS) & lanes
+            bits = ((_mix(state, lanes) >> 11 & _LOW53) + flip_bias) >> 53 & ones
             if r == 0:
-                first = bit
+                module_correct += bits.bit_count()
+            kept += bits
 
-        module_correct += first == golden
-        for i, t in enumerate(thresholds):
-            counts[i] += (1 if ones >= t else 0) == golden
+        golden_zero = golden ^ ones
+        for i, (one_bias, zero_bias) in enumerate(vote_biases):
+            counts[i] += (golden & ((kept + one_bias) >> 8)).bit_count()
+            counts[i] += (golden_zero & ((kept + zero_bias) >> 8)).bit_count()
 
     return AvailabilityRecord(
         pe=pe,

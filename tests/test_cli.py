@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +332,27 @@ def test_plot_rejects_malformed_rows(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "nan,inf,2.5,-1,0,0,0",
+        "0.1,nan,0.9,0.9,0,0,100",
+        "0.1,0.9,inf,0.9,0,0,100",
+        "1.5,0.9,0.9,0.9,0,0,100",
+        "0.1,0.9,0.9,-0.1,0,0,100",
+        "0.1,0.9,0.9,0.9,-1,0,100",
+        "0.1,0.9,0.9,0.9,0,0,-inf",
+    ],
+)
+def test_plot_rejects_out_of_range_values(capsys, tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(CSV_HEADER + "\n0.1,0.9,0.9,0.9,1,2,100\n" + row + "\n")
+    code, _, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "fig.gp"))
+    assert code == 3
+    assert "out of range" in err
+    assert not (tmp_path / "fig.gp").exists()
+
+
 def test_plot_missing_csv(capsys, tmp_path):
     code, _, _ = run(capsys, "plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.gp"))
     assert code == 3
@@ -342,3 +367,28 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.startswith("probvoter ")
+
+
+def test_closed_stdout_ends_quietly():
+    # synth -k 16 prints about 300 kB, far more than a pipe buffers, so the
+    # child is still writing when the reader goes away.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "probvoter", "synth", "-k", "16", "--expr", QUAD_EXPR],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.read(10) == b"y1 y2 y3 y"
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read().decode()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert code == 0
+    assert err == ""

@@ -1,21 +1,30 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probvoter.logic import TruthTable
 from probvoter.sim import (
+    CHUNK,
     AvailabilityRecord,
     SimConfig,
     flip_cutoff,
-    inject,
     rng_next,
     run_sweep,
-    run_trial,
     substream_state,
-    unit_interval,
 )
-from probvoter.voter import error_profile, synthesize_majority, synthesize_probabilistic
+from probvoter.voter import (
+    MAX_REPLICAS,
+    VoterTable,
+    error_profile,
+    synthesize_majority,
+    synthesize_probabilistic,
+)
+
+from sim_oracle import inject, loop_cell, run_trial, unit_interval
 
 # First five outputs of the generator from state 0; any change to these
 # breaks bit-reproducibility of every published sweep.
@@ -226,3 +235,80 @@ def test_config_validation(two_ones):
         SimConfig(**{**good, "master_seed": 1 << 64})
     with pytest.raises(ValueError):
         SimConfig(**{**good, "master_seed": -1})
+
+
+def _table(n: int, bits: int) -> TruthTable:
+    # bit i of `bits` is the output for row i
+    outputs = tuple(map(int, reversed(format(bits, f"0{1 << n}b"))))
+    return TruthTable(tuple(f"x{i}" for i in range(n)), outputs)
+
+
+def _assert_matches_oracle(config: SimConfig) -> None:
+    expected = [loop_cell(config, i, pe) for i, pe in enumerate(config.pe_values)]
+    assert run_sweep(config) == expected
+
+
+_EDGE_PES = (Fraction(0), Fraction(1), Fraction(1, 1 << 53), 1 - Fraction(1, 1 << 53))
+
+
+@st.composite
+def _sim_configs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    function = _table(n, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)))
+    k = draw(st.integers(min_value=1, max_value=MAX_REPLICAS))
+    tie_policy = draw(st.sampled_from((0, 1))) if k % 2 == 0 else None
+    voters = (
+        ("majority", synthesize_majority(k, tie_policy)),
+        ("prob", synthesize_probabilistic(error_profile(function), k)),
+        ("threshold", VoterTable.from_threshold(k, draw(st.integers(1, k)))),
+    )
+    pe_values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_PES),
+                st.fractions(min_value=0, max_value=1, max_denominator=10**9),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    trials = draw(st.sampled_from((1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)))
+    seed = draw(st.integers(min_value=0, max_value=(1 << 64) - 1))
+    return SimConfig(function, k, voters, tuple(pe_values), trials, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sim_configs())
+def test_packed_cells_match_the_trial_loop(config):
+    _assert_matches_oracle(config)
+
+
+def test_packed_cells_match_the_trial_loop_at_twenty_inputs():
+    rows = random.Random(20).getrandbits(1 << 20)
+    function = _table(20, rows)
+    voters = (
+        ("majority", synthesize_majority(3)),
+        ("prob", synthesize_probabilistic(error_profile(function), 3)),
+    )
+    config = SimConfig(
+        function, 3, voters, (Fraction(1, 10), *_EDGE_PES), CHUNK + 1, 2026
+    )
+    _assert_matches_oracle(config)
+
+
+def test_cell_memory_does_not_grow_with_trials(two_ones):
+    config = SimConfig(
+        function=two_ones,
+        k=16,
+        voters=(("majority", synthesize_majority(16, 1)),),
+        pe_values=(Fraction(1, 10),),
+        trials=200_000,
+    )
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few chunk-sized (64 KiB) integers; one integer over all trials is 3.2 MB
+    assert peak <= 2 << 20
