@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,13 @@ from .analytic import (
     expected_errors,
     module_availability,
 )
-from .logic import ExpressionError, TableFormatError, parse_expression, parse_table_file
+from .logic import (
+    ExpressionError,
+    TableFormatError,
+    output_line,
+    parse_expression,
+    parse_table_file,
+)
 from .sim import SimConfig, run_sweep
 from .voter import (
     emit_minterm_sop,
@@ -52,6 +59,11 @@ DEFAULT_PE = tuple(
         "0.2", "0.25", "0.3", "0.35", "0.4", "0.45", "0.5",
     )
 )
+
+# Fraction("1e999999999") builds 10**999999999 before any range check could
+# run, so a --pe value's decimal exponent is bounded first.
+MAX_PE_EXPONENT = 1000
+_EXPONENT_RE = re.compile(r"e([-+]?[\d_]+)\Z", re.IGNORECASE)
 
 DEFAULT_TRIALS = 5000
 DEFAULT_SEED = 0xC0FFEE
@@ -103,6 +115,12 @@ def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
             if not part:
                 raise _CliError("empty value in --pe list", EXIT_CONFIG)
             try:
+                exponent = _EXPONENT_RE.search(part)
+                if exponent and abs(int(exponent.group(1))) > MAX_PE_EXPONENT:
+                    raise _CliError(
+                        f"probability {part} has a decimal exponent beyond {MAX_PE_EXPONENT}",
+                        EXIT_CONFIG,
+                    )
                 value = Fraction(part)
             except (ValueError, ZeroDivisionError):
                 raise _CliError(f"cannot parse probability {part!r}", EXIT_CONFIG) from None
@@ -158,7 +176,7 @@ def _build_voters(profile, k: int, tie_policy: int | None):
 def _function_manifest(table, source) -> dict:
     return {
         "variables": list(table.variables),
-        "outputs": "".join(map(str, table.outputs)),
+        "outputs": output_line(table),
         "source": source,
     }
 

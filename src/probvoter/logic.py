@@ -1,11 +1,14 @@
 """Boolean functions stored as explicit truth tables.
 
-A function of n inputs is a vector of 2^n output bits.  Row index i encodes
-the input assignment whose *first-listed* variable is the most significant
-bit of i, so for variables (a, b, c) row 6 = 0b110 means a=1, b=1, c=0.
+A function of n inputs is a vector of 2^n output bits, stored as `bytes`
+with one byte (0 or 1) per row.  Row index i encodes the input assignment
+whose *first-listed* variable is the most significant bit of i, so for
+variables (a, b, c) row 6 = 0b110 means a=1, b=1, c=0.
 
 Functions can be built from a small expression language or loaded from a
-two-line text format (variable names, then the output bit string).
+two-line text format (variable names, then the output bit string).  Both
+directions between that ASCII line and the stored bytes are one
+`bytes.translate`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[+|&*.!~()])"
 )
 
-# 8 output bits per byte of a packed table, LSB first.
-_BYTE_BITS = [tuple((byte >> i) & 1 for i in range(8)) for byte in range(256)]
+# ASCII '0'/'1' to the stored row bytes 0/1, and back.
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class ExpressionError(ValueError):
@@ -43,14 +47,19 @@ class TableFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Explicit truth table: variable names plus all 2^n output bits."""
+    """Explicit truth table: variable names plus all 2^n output bits.
+
+    `outputs` holds one byte per row, 0 or 1, so `outputs[i]` is row i's
+    output as an int.  Any other sequence of 0/1 values is converted.
+    """
 
     variables: tuple[str, ...]
-    outputs: tuple[int, ...]
+    outputs: bytes
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "outputs", tuple(int(b) for b in self.outputs))
+        if not isinstance(self.outputs, bytes):
+            object.__setattr__(self, "outputs", bytes(map(int, self.outputs)))
         n = len(self.variables)
         if not 1 <= n <= MAX_ARITY:
             raise ValueError(f"need between 1 and {MAX_ARITY} variables, got {n}")
@@ -65,7 +74,7 @@ class TruthTable:
             raise ValueError(
                 f"expected {1 << n} output bits for {n} variables, got {len(self.outputs)}"
             )
-        if any(b not in (0, 1) for b in self.outputs):
+        if self.outputs.translate(None, b"\x00\x01"):
             raise ValueError("output bits must be 0 or 1")
 
     @property
@@ -88,7 +97,7 @@ class TruthTable:
 
     def symbol_counts(self) -> tuple[int, int]:
         """(number of 0 rows, number of 1 rows)."""
-        ones = sum(self.outputs)
+        ones = self.outputs.count(1)
         return len(self.outputs) - ones, ones
 
 
@@ -98,10 +107,18 @@ class TruthTable:
 #   term   := factor (("&" | "*" | ".") factor)*
 #   factor := ("!" | "~") factor | atom
 #   atom   := name | "0" | "1" | "(" expr ")"
+#
+# The parser compiles to postfix code and `_eval_mask` runs it on a value
+# stack; neither recurses, so chain length and nesting depth cost memory,
+# not interpreter stack.
 
 _OR_OPS = frozenset("+|")
 _AND_OPS = frozenset("&*.")
 _NOT_OPS = frozenset("!~")
+
+_NOT = ("not",)
+_AND = ("and",)
+_OR = ("or",)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -117,68 +134,68 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        # first occurrence position of each variable, in appearance order
-        self.seen: dict[str, int] = {}
+def _compile(text: str) -> tuple[list[tuple], dict[str, int]]:
+    """Postfix code for `text`, and each variable's first position in order.
 
-    def _peek_op(self) -> str | None:
-        if self.pos < len(self.tokens) and self.tokens[self.pos][0] == "op":
-            return self.tokens[self.pos][1]
-        return None
-
-    def parse(self):
-        node = self._expr()
-        if self.pos < len(self.tokens):
-            kind, value, at = self.tokens[self.pos]
-            raise ExpressionError(f"unexpected {value!r}", at)
-        return node
-
-    def _expr(self):
-        node = self._term()
-        while self._peek_op() in _OR_OPS:
-            self.pos += 1
-            node = ("or", node, self._term())
-        return node
-
-    def _term(self):
-        node = self._factor()
-        while self._peek_op() in _AND_OPS:
-            self.pos += 1
-            node = ("and", node, self._factor())
-        return node
-
-    def _factor(self):
-        if self._peek_op() in _NOT_OPS:
-            self.pos += 1
-            return ("not", self._factor())
-        return self._atom()
-
-    def _atom(self):
-        if self.pos >= len(self.tokens):
-            raise ExpressionError("unexpected end of expression", len(self.text))
-        kind, value, at = self.tokens[self.pos]
-        self.pos += 1
+    Every "and"/"or" step folds the top two stack values as soon as its
+    right operand is complete, so an n-ary chain holds at most two values
+    per open parenthesis.  A run of negations compiles to its parity.
+    """
+    tokens = _tokenize(text)
+    end = len(tokens)
+    code: list[tuple] = []
+    seen: dict[str, int] = {}
+    # One frame per open parenthesis, the outermost for the whole text:
+    # [negate the group, a finished term is on the stack,
+    #  a finished factor of the current term is on the stack]
+    frames = [[False, False, False]]
+    i = 0
+    while True:
+        negate = False
+        while i < end and tokens[i][0] == "op" and tokens[i][1] in _NOT_OPS:
+            negate = not negate
+            i += 1
+        if i == end:
+            raise ExpressionError("unexpected end of expression", len(text))
+        kind, value, at = tokens[i]
+        i += 1
         if kind == "name":
-            self.seen.setdefault(value, at)
-            return ("var", value)
-        if kind == "const":
-            return ("const", int(value))
-        if value == "(":
-            node = self._expr()
-            if self._peek_op() != ")":
-                raise ExpressionError("expected ')'", self._here())
-            self.pos += 1
-            return node
-        raise ExpressionError(f"unexpected {value!r}", at)
-
-    def _here(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][2]
-        return len(self.text)
+            seen.setdefault(value, at)
+            code.append(("var", value))
+        elif kind == "const":
+            code.append(("const", int(value)))
+        elif value == "(":
+            frames.append([negate, False, False])
+            continue
+        else:
+            raise ExpressionError(f"unexpected {value!r}", at)
+        if negate:
+            code.append(_NOT)
+        # A factor is complete: fold it into its term, then close every
+        # group that ends here, until an operator asks for the next operand.
+        while True:
+            frame = frames[-1]
+            if frame[2]:
+                code.append(_AND)
+            frame[2] = True
+            op = tokens[i][1] if i < end and tokens[i][0] == "op" else None
+            if op in _AND_OPS:
+                break
+            if frame[1]:
+                code.append(_OR)
+            frame[1], frame[2] = True, False
+            if op in _OR_OPS:
+                break
+            if len(frames) == 1:
+                if i < end:
+                    raise ExpressionError(f"unexpected {tokens[i][1]!r}", tokens[i][2])
+                return code, seen
+            if op != ")":
+                raise ExpressionError("expected ')'", tokens[i][2] if i < end else len(text))
+            i += 1
+            if frames.pop()[0]:
+                code.append(_NOT)
+        i += 1
 
 
 def _variable_mask(position: int, n: int) -> int:
@@ -193,25 +210,24 @@ def _variable_mask(position: int, n: int) -> int:
     return mask
 
 
-def _eval_mask(node, masks: dict[str, int], full: int) -> int:
-    op = node[0]
-    if op == "var":
-        return masks[node[1]]
-    if op == "const":
-        return full if node[1] else 0
-    if op == "not":
-        return _eval_mask(node[1], masks, full) ^ full
-    left = _eval_mask(node[1], masks, full)
-    right = _eval_mask(node[2], masks, full)
-    return left & right if op == "and" else left | right
-
-
-def _mask_to_bits(mask: int, size: int) -> tuple[int, ...]:
-    raw = mask.to_bytes((size + 7) // 8, "little")
-    bits: list[int] = []
-    for byte in raw:
-        bits.extend(_BYTE_BITS[byte])
-    return tuple(bits[:size])
+def _eval_mask(code: list[tuple], masks: dict[str, int], full: int) -> int:
+    """Run postfix code; bit i of the result is the output of row i."""
+    stack: list[int] = []
+    for step in code:
+        op = step[0]
+        if op == "var":
+            stack.append(masks[step[1]])
+        elif op == "const":
+            stack.append(full if step[1] else 0)
+        elif op == "not":
+            stack[-1] ^= full
+        else:
+            right = stack.pop()
+            if op == "and":
+                stack[-1] &= right
+            else:
+                stack[-1] |= right
+    return stack[0]
 
 
 def parse_expression(text: str, variables: Sequence[str] | None = None) -> TruthTable:
@@ -220,15 +236,14 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
     With no explicit `variables`, the order of first appearance in the text
     defines the variable order (and hence the row indexing).
     """
-    parser = _Parser(text)
-    ast = parser.parse()
+    code, seen = _compile(text)
     if variables is None:
-        order = tuple(parser.seen)
+        order = tuple(seen)
         if not order:
             raise ExpressionError("expression uses no variables and none were declared", 0)
     else:
         order = tuple(variables)
-        for name, at in parser.seen.items():
+        for name, at in seen.items():
             if name not in order:
                 raise ExpressionError(f"unknown variable {name!r}", at)
     n = len(order)
@@ -237,8 +252,9 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
     size = 1 << n
     full = (1 << size) - 1
     masks = {name: _variable_mask(j, n) for j, name in enumerate(order)}
-    result = _eval_mask(ast, masks, full)
-    return TruthTable(order, _mask_to_bits(result, size))
+    result = _eval_mask(code, masks, full)
+    bits = format(result, f"0{size}b")[::-1].encode("ascii")
+    return TruthTable(order, bits.translate(_FROM_ASCII))
 
 
 # --- table file format ------------------------------------------------------
@@ -271,15 +287,21 @@ def parse_table_file(data: bytes) -> TruthTable:
         raise TableFormatError(
             f"expected {expected} output bits for {len(names)} variables, got {len(row)}"
         )
-    bad = set(row) - {"0", "1"}
-    if bad:
-        raise TableFormatError(f"output line may only contain 0 and 1, got {min(bad)!r}")
+    raw = row.encode("utf-8")
+    if raw.translate(None, b"01"):
+        bad = min(set(row) - {"0", "1"})
+        raise TableFormatError(f"output line may only contain 0 and 1, got {bad!r}")
     try:
-        return TruthTable(tuple(names), tuple(int(c) for c in row))
+        return TruthTable(tuple(names), raw.translate(_FROM_ASCII))
     except ValueError as exc:
         raise TableFormatError(str(exc)) from exc
 
 
+def output_line(table: TruthTable) -> str:
+    """The outputs as a string of 2^n '0'/'1' characters, row 0 first."""
+    return table.outputs.translate(_TO_ASCII).decode("ascii")
+
+
 def serialize_table(table: TruthTable) -> str:
     """Two-line text form; `parse_table_file` of the result round-trips."""
-    return " ".join(table.variables) + "\n" + "".join(map(str, table.outputs)) + "\n"
+    return " ".join(table.variables) + "\n" + output_line(table) + "\n"

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .logic import TruthTable
+from .logic import MAX_ARITY, TruthTable
 
 MAX_REPLICAS = 16
 
@@ -47,8 +47,8 @@ class ErrorProfile:
     n1: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= 20:
-            raise ValueError(f"arity must be between 1 and 20, got {self.n}")
+        if not 1 <= self.n <= MAX_ARITY:
+            raise ValueError(f"arity must be between 1 and {MAX_ARITY}, got {self.n}")
         if self.n0 < 0 or self.n1 < 0:
             raise ValueError("symbol counts must be non-negative")
         if self.n0 + self.n1 != 1 << self.n:

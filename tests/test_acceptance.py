@@ -247,9 +247,9 @@ def test_criterion_7_property_suite(two_ones, four_ones):
         ]
         for voter in voters:
             names = tuple(f"y{i}" for i in range(1, voter.k + 1))
-            assert parse_expression(emit_minterm_sop(voter), names).outputs == voter.decisions
+            assert tuple(parse_expression(emit_minterm_sop(voter), names).outputs) == voter.decisions
             expression, _ = emit_threshold_sop(voter)
-            assert parse_expression(expression, names).outputs == voter.decisions
+            assert tuple(parse_expression(expression, names).outputs) == voter.decisions
         # sweep determinism under a fixed seed
         profile = error_profile(two_ones)
         config = SimConfig(
@@ -276,7 +276,7 @@ def test_criterion_8_voter_complexity(two_ones):
         assert (majority_metrics.terms, majority_metrics.literals) == (3, 6)
         # the minimized forms are equivalence-checked against the tables
         names = ("y1", "y2", "y3")
-        assert parse_expression(prob_sop, names).outputs == prob.decisions
-        assert parse_expression(majority_sop, names).outputs == majority.decisions
+        assert tuple(parse_expression(prob_sop, names).outputs) == prob.decisions
+        assert tuple(parse_expression(majority_sop, names).outputs) == majority.decisions
 
     _verdict(8, "voter complexity metrics", check)

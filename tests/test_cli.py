@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from probvoter.cli import CSV_HEADER, main
+from probvoter.logic import parse_expression, serialize_table
 
 from conftest import TWO_ONES_FILE
 
@@ -65,6 +67,36 @@ def test_bad_expression_is_a_parse_error(capsys):
     code, _, err = run(capsys, "profile", "--expr", "a &")
     assert code == 3
     assert "position 3" in err
+
+
+def test_long_sum_of_products(capsys):
+    # every adjacent pair of a 10-variable ring, 1000 terms; the rows with
+    # no two adjacent ones number L(10) = 123, a Lucas number
+    expr = "+".join(f"v{i % 10}&v{(i + 1) % 10}" for i in range(1000))
+    code, out, err = run(capsys, "profile", "--expr", expr)
+    assert code == 0
+    assert err == ""
+    assert out == "N0=123 N1=901 E0=901/1024 E1=123/1024\n"
+
+
+@pytest.mark.parametrize(
+    "expr,code,out",
+    [
+        ("(" * 3000 + "a" + ")" * 3000, 0, "N0=1 N1=1 E0=1/2 E1=1/2\n"),
+        ("!" * 5000 + "a", 0, "N0=1 N1=1 E0=1/2 E1=1/2\n"),
+        ("!(" * 3000 + "a" + ")" * 3000, 0, "N0=1 N1=1 E0=1/2 E1=1/2\n"),
+        ("(" * 3000 + "a" + ")" * 2999, 3, ""),
+        ("!" * 5000, 3, ""),
+    ],
+)
+def test_deep_expressions_keep_the_exit_contract(capsys, expr, code, out):
+    result, stdout, stderr = run(capsys, "profile", "--expr", expr)
+    assert (result, stdout) == (code, out)
+    if code:
+        assert stderr.startswith("probvoter: expression: ")
+        assert stderr.count("\n") == 1
+    else:
+        assert stderr == ""
 
 
 def test_missing_table_file(capsys):
@@ -126,7 +158,7 @@ def test_synth_output_reparses_to_the_voter_table(capsys, table_path):
     names = tuple(lines[0].split())
     for prefix, line in (("minterm_sop=", lines[3]), ("threshold_sop=", lines[4])):
         expression = line.removeprefix(prefix)
-        assert parse_expression(expression, names).outputs == voter.decisions
+        assert tuple(parse_expression(expression, names).outputs) == voter.decisions
 
 
 def test_synth_even_k_majority_needs_tie_policy(capsys, table_path):
@@ -239,6 +271,24 @@ def test_simulate_manifest_reproduces_output(capsys, table_path, tmp_path):
     )
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_manifest_outputs_match_the_table_line(capsys, tmp_path):
+    names = " ".join(f"v{i}" for i in range(12))
+    rng = random.Random(12)
+    line = "".join(rng.choice("01") for _ in range(1 << 12))
+    table = tmp_path / "wide.tt"
+    table.write_text(names + "\n" + line + "\n")
+    out = tmp_path / "table.csv"
+    assert run(capsys, "analytic", "--table", str(table), "--pe", "0.1", "--out", str(out))[0] == 0
+    manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    assert manifest["function"]["outputs"] == line
+
+    out = tmp_path / "expr.csv"
+    assert run(capsys, "analytic", "--expr", QUAD_EXPR, "--pe", "0.1", "--out", str(out))[0] == 0
+    manifest = json.loads((tmp_path / "expr.csv.manifest.json").read_text())
+    expected = serialize_table(parse_expression(QUAD_EXPR)).split("\n")[1]
+    assert manifest["function"]["outputs"] == expected == "0011000000001010"
 
 
 def test_analytic_exact_rows(capsys, table_path, tmp_path):

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import logic_oracle
 from probvoter.logic import (
     ExpressionError,
     TableFormatError,
     TruthTable,
+    output_line,
     parse_expression,
     parse_table_file,
     serialize_table,
@@ -13,8 +17,8 @@ from probvoter.logic import (
 
 
 def test_first_variable_is_msb():
-    assert parse_expression("a", ("a", "b")).outputs == (0, 0, 1, 1)
-    assert parse_expression("b", ("a", "b")).outputs == (0, 1, 0, 1)
+    assert tuple(parse_expression("a", ("a", "b")).outputs) == (0, 0, 1, 1)
+    assert tuple(parse_expression("b", ("a", "b")).outputs) == (0, 1, 0, 1)
 
 
 def test_four_variable_minterm_sum():
@@ -47,23 +51,23 @@ def test_and_binds_tighter_than_or():
 
 
 def test_constants_and_double_negation():
-    assert parse_expression("!!a", ("a",)).outputs == (0, 1)
-    assert parse_expression("a + 1", ("a",)).outputs == (1, 1)
-    assert parse_expression("a & 0", ("a",)).outputs == (0, 0)
+    assert tuple(parse_expression("!!a", ("a",)).outputs) == (0, 1)
+    assert tuple(parse_expression("a + 1", ("a",)).outputs) == (1, 1)
+    assert tuple(parse_expression("a & 0", ("a",)).outputs) == (0, 0)
 
 
 def test_constant_expression_needs_declared_variables():
     with pytest.raises(ExpressionError):
         parse_expression("1")
-    assert parse_expression("1", ("x",)).outputs == (1, 1)
+    assert tuple(parse_expression("1", ("x",)).outputs) == (1, 1)
 
 
 def test_contradiction_is_constant_zero():
-    assert parse_expression("a & !a", ("a",)).outputs == (0, 0)
+    assert tuple(parse_expression("a & !a", ("a",)).outputs) == (0, 0)
 
 
 def test_two_input_or():
-    assert parse_expression("a + b", ("a", "b")).outputs == (0, 1, 1, 1)
+    assert tuple(parse_expression("a + b", ("a", "b")).outputs) == (0, 1, 1, 1)
 
 
 def test_constant_one_symbol_counts():
@@ -79,6 +83,16 @@ def test_constant_one_symbol_counts():
         (")", 0),
         ("a b", 2),
         ("a & $", 4),
+        ("(a b)", 3),
+        ("a)", 1),
+        ("!", 1),
+        ("()", 1),
+        ("a + ", 4),
+        ("((a)", 4),
+        ("!(a", 3),
+        ("a & & b", 4),
+        ("a+(b&c", 6),
+        ("(a)(b)", 3),
     ],
 )
 def test_syntax_error_positions(text, position):
@@ -97,13 +111,13 @@ def test_unknown_variable_reports_first_occurrence():
 def test_table_file_identity():
     table = parse_table_file(b"x\n01\n")
     assert table.variables == ("x",)
-    assert table.outputs == (0, 1)
+    assert tuple(table.outputs) == (0, 1)
 
 
 def test_table_file_comments_and_crlf():
     table = parse_table_file(b"# a note\r\n# another\r\nx y\r\n0110\r\n")
     assert table.variables == ("x", "y")
-    assert table.outputs == (0, 1, 1, 0)
+    assert tuple(table.outputs) == (0, 1, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -122,6 +136,78 @@ def test_table_file_comments_and_crlf():
 def test_table_file_rejects_malformed_input(data):
     with pytest.raises(TableFormatError):
         parse_table_file(data)
+
+
+@pytest.mark.parametrize(
+    "row,bad",
+    [
+        ("0120", "2"),
+        ("01\u00e90", "\u00e9"),
+        ("0 10", " "),
+        ("2\u00e9 1", " "),
+        ("\u00e9\u00e0\u00ff\u00fe", "\u00e0"),
+    ],
+)
+def test_table_file_names_smallest_bad_character(row, bad):
+    with pytest.raises(TableFormatError) as err:
+        parse_table_file(("a b\n" + row + "\n").encode("utf-8"))
+    assert str(err.value) == f"output line may only contain 0 and 1, got {bad!r}"
+
+
+def test_outputs_are_one_byte_per_row():
+    table = TruthTable(("a", "b"), (0, 1, 1, 0))
+    assert table.outputs == b"\x00\x01\x01\x00"
+    assert table == TruthTable(("a", "b"), b"\x00\x01\x01\x00")
+    assert table == TruthTable(("a", "b"), bytearray(b"\x00\x01\x01\x00"))
+    assert table == parse_table_file(b"a b\n0110\n")
+    assert table == parse_expression("a&!b + !a&b", ("a", "b"))
+    assert output_line(table) == "0110"
+
+
+def test_n20_table_round_trips():
+    low_bit = bytes.maketrans(bytes(range(256)), bytes(b & 1 for b in range(256)))
+    outputs = random.Random(20).randbytes(1 << 20).translate(low_bit)
+    table = TruthTable(tuple(f"v{i}" for i in range(20)), outputs)
+    text = serialize_table(table)
+    assert text.split("\n")[1] == output_line(table)
+    assert parse_table_file(text.encode()) == table
+    assert table.symbol_counts() == (outputs.count(0), outputs.count(1))
+
+
+@pytest.mark.parametrize("count", [5000, 5001])
+def test_long_negation_runs(count):
+    table = parse_expression("!" * count + "a")
+    assert tuple(table.outputs) == ((0, 1) if count % 2 == 0 else (1, 0))
+    assert parse_expression("~" * count + "(a)") == table
+
+
+def test_deep_alternating_nesting():
+    # x(i+1) = a + x(i) on even i and !(b & x(i)) on odd i, nested 3000 deep
+    depth = 3000
+    head = "".join("(a+" if i % 2 == 0 else "!(b&" for i in reversed(range(depth)))
+    table = parse_expression(head + "c" + ")" * depth, ("a", "b", "c"))
+    for row in range(8):
+        a, b, c = row >> 2 & 1, row >> 1 & 1, row & 1
+        x = c
+        for i in range(depth):
+            x = (a | x) if i % 2 == 0 else 1 - (b & x)
+        assert table.outputs[row] == x
+
+
+_EXPR_TEXT = st.text(alphabet="abcx01!~&*.+|() ", max_size=40)
+
+
+@given(_EXPR_TEXT)
+def test_compiler_matches_recursive_oracle(text):
+    try:
+        expected = logic_oracle.parse_expression(text, ("a", "b", "c"))
+    except ExpressionError as exc:
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text, ("a", "b", "c"))
+        assert str(err.value) == str(exc)
+        assert err.value.position == exc.position
+    else:
+        assert parse_expression(text, ("a", "b", "c")) == expected
 
 
 def test_evaluate_and_index(two_ones):
@@ -146,6 +232,9 @@ def test_symbol_counts(two_ones, four_ones):
         (("a",), (0, 1, 0)),
         (("a",), (0, 2)),
         (tuple(f"v{i}" for i in range(21)), ()),
+        (("a",), b"\x00\x02"),
+        (("a",), b"\x01\xff"),
+        (("a",), b"01"),
     ],
 )
 def test_truth_table_validation(variables, outputs):

@@ -230,7 +230,7 @@ def test_as_table_round_trip():
     voter = synthesize_majority(3)
     table = voter.as_table()
     assert table.variables == ("y1", "y2", "y3")
-    assert table.outputs == voter.decisions
+    assert tuple(table.outputs) == voter.decisions
 
 
 # --- properties ---------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_degenerate_profiles_become_and_or(n, k):
 def test_sop_round_trips(profile, k):
     voter = synthesize_probabilistic(profile, k)
     names = tuple(f"y{i}" for i in range(1, k + 1))
-    assert parse_expression(emit_minterm_sop(voter), names).outputs == voter.decisions
+    assert tuple(parse_expression(emit_minterm_sop(voter), names).outputs) == voter.decisions
     expression, metrics = emit_threshold_sop(voter)
-    assert parse_expression(expression, names).outputs == voter.decisions
+    assert tuple(parse_expression(expression, names).outputs) == voter.decisions
     assert metrics.literals == metrics.terms * voter.threshold
