@@ -6,10 +6,15 @@ flipped replicas, a threshold-t voter recovers a golden 0 iff F <= t-1 and
 a golden 1 iff F <= k-t, so the probability that the voted output is
 correct is
 
-    A(p) = w0 * P[F <= t-1] + w1 * P[F <= k-t]
+    A(p) = (N0/2^n) * P[F <= t-1] + (N1/2^n) * P[F <= k-t]
 
-with w0, w1 the fractions of 0-rows and 1-rows in the truth table.  All
-arithmetic is over `Fraction`s, so results are exact for rational p.
+with N0, N1 the 0-rows and 1-rows of the truth table.  Writing p = a/d,
+
+    P[F <= m] = S[m] / d^k,   S[m] = sum_{j <= m} C(k, j) a^j (d-a)^(k-j),
+
+so one pass over j gives the integer partial sums S for every threshold,
+and A(p) is the single `Fraction((N0*S[t-1] + N1*S[k-t]), d^k * 2^n)`.
+Results are exact for rational p; no float enters an availability.
 """
 
 from __future__ import annotations
@@ -40,43 +45,52 @@ class SystemModel:
     def __post_init__(self):
         object.__setattr__(self, "p", _as_probability(self.p))
 
-    @property
-    def w0(self) -> Fraction:
-        return Fraction(self.profile.n0, 1 << self.profile.n)
-
-    @property
-    def w1(self) -> Fraction:
-        return Fraction(self.profile.n1, 1 << self.profile.n)
-
 
 def module_availability(p) -> Fraction:
     """Probability a single unguarded replica is correct: 1 - p."""
     return 1 - _as_probability(p)
 
 
-def _binomial_cdf(k: int, m: int, p: Fraction) -> Fraction:
-    """P[Binomial(k, p) <= m], exact."""
-    if m < 0:
-        return Fraction(0)
-    if m >= k:
-        return Fraction(1)
-    q = 1 - p
-    return sum(comb(k, j) * p**j * q ** (k - j) for j in range(m + 1))
+def _cdf_numerators(k: int, p: Fraction) -> list[int]:
+    """S[m] = d^k * P[Binomial(k, p) <= m] for m = 0..k, where p = a/d."""
+    a, d = p.numerator, p.denominator
+    b = d - a
+    b_powers = [1]
+    for _ in range(k):
+        b_powers.append(b_powers[-1] * b)
+    sums = []
+    total = 0
+    a_power = 1
+    for j in range(k + 1):
+        total += comb(k, j) * a_power * b_powers[k - j]
+        sums.append(total)
+        a_power *= a
+    return sums
+
+
+def _availability_numerator(profile: ErrorProfile, t: int, sums: list[int]) -> int:
+    """A(p) * d^k * 2^n for a threshold-t voter, from `_cdf_numerators`."""
+    k = len(sums) - 1
+    return profile.n0 * sums[t - 1] + profile.n1 * sums[k - t]
+
+
+def _availability_ratio(model: SystemModel) -> tuple[int, int]:
+    """A(p) as an unreduced numerator and the denominator d^k * 2^n."""
+    sums = _cdf_numerators(model.voter.k, model.p)
+    numerator = _availability_numerator(model.profile, model.voter.threshold, sums)
+    return numerator, sums[-1] << model.profile.n
 
 
 def system_availability(model: SystemModel) -> Fraction:
-    k = model.voter.k
-    t = model.voter.threshold
-    return model.w0 * _binomial_cdf(k, t - 1, model.p) + model.w1 * _binomial_cdf(
-        k, k - t, model.p
-    )
+    return Fraction(*_availability_ratio(model))
 
 
 def expected_errors(model: SystemModel, trials: int) -> Fraction:
     """Expected number of wrong voted outputs over `trials` uniform inputs."""
     if trials < 0:
         raise ValueError(f"trial count must be non-negative, got {trials}")
-    return trials * (1 - system_availability(model))
+    numerator, denominator = _availability_ratio(model)
+    return Fraction(trials * (denominator - numerator), denominator)
 
 
 @dataclass(frozen=True)
@@ -111,18 +125,23 @@ def compare_and_crossover(
         raise ValueError("probability grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("probability grid must be strictly ascending")
-    prob_voter = synthesize_probabilistic(profile, k)
-    majority_voter = synthesize_majority(k, tie_policy)
+    prob_t = synthesize_probabilistic(profile, k).threshold
+    majority_t = synthesize_majority(k, tie_policy).threshold
     points = []
     crossovers = []
     last_sign = 0
     last_signed_p = None
     for p in grid:
-        a_prob = system_availability(SystemModel(profile, prob_voter, p))
-        a_maj = system_availability(SystemModel(profile, majority_voter, p))
-        points.append(ComparisonPoint(p, a_prob, a_maj))
-        diff = a_prob - a_maj
-        sign = (diff > 0) - (diff < 0)
+        # both availabilities share the denominator d^k * 2^n, so the sign
+        # of their difference is the sign of the numerators' difference
+        sums = _cdf_numerators(k, p)
+        denominator = sums[-1] << profile.n
+        prob = _availability_numerator(profile, prob_t, sums)
+        majority = _availability_numerator(profile, majority_t, sums)
+        points.append(
+            ComparisonPoint(p, Fraction(prob, denominator), Fraction(majority, denominator))
+        )
+        sign = (prob > majority) - (prob < majority)
         if sign != 0:
             if last_sign != 0 and sign != last_sign:
                 crossovers.append((last_signed_p, p))

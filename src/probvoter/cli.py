@@ -87,10 +87,9 @@ def _format_exact(x: Fraction) -> str:
     if x < 0:
         return "-" + _format_exact(-x)
     den = x.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    fives = 0
     while den % 5 == 0:
         den //= 5
         fives += 1
@@ -219,7 +218,7 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
     print(" ".join(f"y{i}" for i in range(1, k + 1)))
-    print("".join(map(str, voter.decisions)))
+    print(output_line(voter.as_table()))
     print(f"t={voter.threshold}")
     print(f"minterm_sop={emit_minterm_sop(voter)}")
     expression, metrics = emit_threshold_sop(voter)

@@ -19,6 +19,11 @@ from typing import Sequence
 
 MAX_ARITY = 20
 
+# `_eval_mask` holds one 2^n-bit mask per pending value; an expression whose
+# deepest stack times 2^n exceeds this many bits (8 MiB of masks, 64 values
+# at n = 20) is rejected before any mask is built.
+MAX_STACK_BITS = 1 << 26
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 _TOKEN_RE = re.compile(
@@ -110,7 +115,7 @@ class TruthTable:
 #
 # The parser compiles to postfix code and `_eval_mask` runs it on a value
 # stack; neither recurses, so chain length and nesting depth cost memory,
-# not interpreter stack.
+# not interpreter stack, and `parse_expression` bounds that memory.
 
 _OR_OPS = frozenset("+|")
 _AND_OPS = frozenset("&*.")
@@ -134,8 +139,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _compile(text: str) -> tuple[list[tuple], dict[str, int]]:
-    """Postfix code for `text`, and each variable's first position in order.
+def _compile(text: str) -> tuple[list[tuple], dict[str, int], int, int]:
+    """Postfix code for `text`, each variable's first position in order, the
+    value stack's maximum depth and the position of the operand that first
+    reaches it.
 
     Every "and"/"or" step folds the top two stack values as soon as its
     right operand is complete, so an n-ary chain holds at most two values
@@ -149,6 +156,7 @@ def _compile(text: str) -> tuple[list[tuple], dict[str, int]]:
     # [negate the group, a finished term is on the stack,
     #  a finished factor of the current term is on the stack]
     frames = [[False, False, False]]
+    depth = max_depth = deepest_at = 0
     i = 0
     while True:
         negate = False
@@ -169,6 +177,9 @@ def _compile(text: str) -> tuple[list[tuple], dict[str, int]]:
             continue
         else:
             raise ExpressionError(f"unexpected {value!r}", at)
+        depth += 1
+        if depth > max_depth:
+            max_depth, deepest_at = depth, at
         if negate:
             code.append(_NOT)
         # A factor is complete: fold it into its term, then close every
@@ -177,19 +188,21 @@ def _compile(text: str) -> tuple[list[tuple], dict[str, int]]:
             frame = frames[-1]
             if frame[2]:
                 code.append(_AND)
+                depth -= 1
             frame[2] = True
             op = tokens[i][1] if i < end and tokens[i][0] == "op" else None
             if op in _AND_OPS:
                 break
             if frame[1]:
                 code.append(_OR)
+                depth -= 1
             frame[1], frame[2] = True, False
             if op in _OR_OPS:
                 break
             if len(frames) == 1:
                 if i < end:
                     raise ExpressionError(f"unexpected {tokens[i][1]!r}", tokens[i][2])
-                return code, seen
+                return code, seen, max_depth, deepest_at
             if op != ")":
                 raise ExpressionError("expected ')'", tokens[i][2] if i < end else len(text))
             i += 1
@@ -236,7 +249,7 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
     With no explicit `variables`, the order of first appearance in the text
     defines the variable order (and hence the row indexing).
     """
-    code, seen = _compile(text)
+    code, seen, depth, deepest_at = _compile(text)
     if variables is None:
         order = tuple(seen)
         if not order:
@@ -250,6 +263,12 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
     if not 1 <= n <= MAX_ARITY:
         raise ExpressionError(f"need between 1 and {MAX_ARITY} variables, got {n}", 0)
     size = 1 << n
+    if depth * size > MAX_STACK_BITS:
+        raise ExpressionError(
+            f"expression nests too deeply for {n} variables: {depth} pending values"
+            f" of {size} rows exceed the {MAX_STACK_BITS}-bit limit",
+            deepest_at,
+        )
     full = (1 << size) - 1
     masks = {name: _variable_mask(j, n) for j, name in enumerate(order)}
     result = _eval_mask(code, masks, full)

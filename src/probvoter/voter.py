@@ -9,28 +9,30 @@ replicas are scored by
 
     cost(symbol) = P[emitted symbol is wrong] / #replicas showing it
 
-and the cheaper symbol wins (ties go to 1).  For every error profile the
-resulting decision table turns out to be a popcount-threshold function,
-which keeps the hardware description compact.
+and the cheaper symbol wins (ties go to 1).  With N0 zero-rows and N1
+one-rows out of 2^n, a pattern with `ones` 1s decides 1 iff
+N0 * (k - ones) <= N1 * ones, i.e. iff ones >= k * N0 / 2^n, so every
+voter is a popcount threshold
 
-All synthesis arithmetic is exact: probabilities are `Fraction`s and the
-cost comparison reduces to an integer cross-multiplication.  Floats never
-enter the decision path (the sole float is the `INFINITY` sentinel for
-impossible tallies, which only ever sits on one side of a comparison).
+    t = max(1, ceil(k * N0 / 2^n))
+
+and a `VoterTable` is just the pair (k, t); its 2^k decisions are derived
+on demand.  All arithmetic is over integers: no float enters a decision.
+The cost rule written out pattern class by pattern class lives in the
+tests as the oracle this formula is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
 from .logic import MAX_ARITY, TruthTable
 
 MAX_REPLICAS = 16
-
-INFINITY = float("inf")
 
 
 @dataclass(frozen=True)
@@ -72,50 +74,6 @@ def error_profile(table: TruthTable) -> ErrorProfile:
     return ErrorProfile(table.arity, n0, n1)
 
 
-@dataclass(frozen=True)
-class VoteTally:
-    """How many replicas in a pattern show 0 and how many show 1."""
-
-    v0: int
-    v1: int
-
-    def __post_init__(self):
-        if self.v0 < 0 or self.v1 < 0:
-            raise ValueError("tally counts must be non-negative")
-        if self.v0 + self.v1 < 1:
-            raise ValueError("tally must cover at least one replica")
-
-    @property
-    def k(self) -> int:
-        return self.v0 + self.v1
-
-
-@dataclass(frozen=True)
-class CostPair:
-    """Per-symbol costs for one replica pattern; INFINITY marks an absent symbol."""
-
-    c0: Fraction | float
-    c1: Fraction | float
-
-    def __post_init__(self):
-        if self.c0 == INFINITY and self.c1 == INFINITY:
-            raise ValueError("at least one symbol must be present in the pattern")
-        if self.c0 < 0 or self.c1 < 0:
-            raise ValueError("costs must be non-negative")
-
-
-def cost(profile: ErrorProfile, tally: VoteTally) -> CostPair:
-    """Score both output symbols for a pattern with the given tally."""
-    c0 = INFINITY if tally.v0 == 0 else profile.e0 / tally.v0
-    c1 = INFINITY if tally.v1 == 0 else profile.e1 / tally.v1
-    return CostPair(c0, c1)
-
-
-def decide(costs: CostPair) -> int:
-    """Pick the cheaper symbol; a tie goes to 1."""
-    return 1 if costs.c1 <= costs.c0 else 0
-
-
 def threshold_of(decisions: Sequence[int]) -> int:
     """Extract the popcount threshold of a 2^k-entry decision table.
 
@@ -149,77 +107,73 @@ def threshold_of(decisions: Sequence[int]) -> int:
     return t
 
 
+def _decision_bytes(k: int, threshold: int) -> bytes:
+    """One byte (0 or 1) per replica pattern: 1 iff popcount >= threshold.
+
+    Built by doubling: the patterns of j replicas are those of j-1 with a
+    leading 0 (same count) followed by those with a leading 1 (one more).
+    """
+    rows = [b"\x01" if ones >= threshold else b"\x00" for ones in range(k + 1)]
+    for _ in range(k):
+        rows = [rows[ones] + rows[ones + 1] for ones in range(len(rows) - 1)]
+    return rows[0]
+
+
 @dataclass(frozen=True)
 class VoterTable:
-    """A k-input voter, stored both as an explicit table and as its threshold.
+    """A k-input threshold voter: output 1 iff at least `threshold` replicas show 1.
 
     `decisions[p]` is the output for replica pattern p, where replica 1 is
-    the most significant bit of p.  The invariant `decisions[p] = 1 iff
-    popcount(p) >= threshold` is checked at construction.
+    the most significant bit of p; it is derived from (k, threshold) on
+    first use.
     """
 
     k: int
     threshold: int
-    decisions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "decisions", tuple(int(b) for b in self.decisions))
         if not 1 <= self.k <= MAX_REPLICAS:
             raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {self.k}")
         if not 1 <= self.threshold <= self.k:
             raise ValueError(f"threshold must be between 1 and {self.k}, got {self.threshold}")
-        if len(self.decisions) != 1 << self.k:
-            raise ValueError(
-                f"expected {1 << self.k} decisions for k={self.k}, got {len(self.decisions)}"
-            )
-        for pattern, value in enumerate(self.decisions):
-            if value != (1 if pattern.bit_count() >= self.threshold else 0):
-                raise ValueError(
-                    f"decision for pattern {pattern:0{self.k}b} does not match threshold"
-                )
 
-    @classmethod
-    def from_threshold(cls, k: int, threshold: int) -> "VoterTable":
-        decisions = tuple(
-            1 if pattern.bit_count() >= threshold else 0 for pattern in range(1 << k)
-        )
-        return cls(k, threshold, decisions)
+    @cached_property
+    def decisions(self) -> tuple[int, ...]:
+        return tuple(_decision_bytes(self.k, self.threshold))
 
     @classmethod
     def from_decisions(cls, decisions: Sequence[int]) -> "VoterTable":
+        """The voter of a hand-built 2^k-entry table, checked by `threshold_of`."""
         bits = tuple(int(b) for b in decisions)
-        t = threshold_of(bits)
-        return cls(len(bits).bit_length() - 1, t, bits)
+        return cls(len(bits).bit_length() - 1, threshold_of(bits))
 
     def apply(self, replica_bits: Sequence[int]) -> int:
         """Vote on one replica pattern (replica 1 first)."""
         if len(replica_bits) != self.k:
             raise ValueError(f"expected {self.k} replica bits, got {len(replica_bits)}")
-        index = 0
-        for b in replica_bits:
-            if b not in (0, 1):
-                raise ValueError("replica bits must be 0 or 1")
-            index = (index << 1) | b
-        return self.decisions[index]
+        if any(b not in (0, 1) for b in replica_bits):
+            raise ValueError("replica bits must be 0 or 1")
+        return 1 if sum(replica_bits) >= self.threshold else 0
 
     def as_table(self, names: Sequence[str] | None = None) -> TruthTable:
         """The voter as an ordinary truth table over replica inputs."""
-        return TruthTable(_replica_names(self.k, names), self.decisions)
+        return TruthTable(
+            _replica_names(self.k, names), _decision_bytes(self.k, self.threshold)
+        )
 
 
 def synthesize_probabilistic(profile: ErrorProfile, k: int) -> VoterTable:
     """Build the cost-based voter for a function's error profile.
 
-    Since the tally of a pattern depends only on its popcount, the decision
-    rule is evaluated once per count class.  The all-zeros pattern always
-    decides 0 and all-ones always decides 1 (the missing symbol has
-    infinite cost), so a threshold always exists.
+    The cost rule decides 1 for a pattern with `ones` 1s iff
+    N0 * (k - ones) <= N1 * ones; the all-zeros pattern always decides 0
+    (a symbol nobody shows costs infinity).  So t is the smallest
+    ones >= 1 with ones * 2^n >= k * N0.
     """
     if not 1 <= k <= MAX_REPLICAS:
         raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {k}")
-    by_count = [decide(cost(profile, VoteTally(k - ones, ones))) for ones in range(k + 1)]
-    decisions = tuple(by_count[pattern.bit_count()] for pattern in range(1 << k))
-    return VoterTable(k, by_count.index(1), decisions)
+    size = 1 << profile.n
+    return VoterTable(k, max(1, (k * profile.n0 + size - 1) // size))
 
 
 def synthesize_majority(k: int, tie_policy: int | None = None) -> VoterTable:
@@ -237,7 +191,7 @@ def synthesize_majority(k: int, tie_policy: int | None = None) -> VoterTable:
         if tie_policy not in (0, 1):
             raise ValueError("even replica counts need tie_policy 0 or 1")
         t = k // 2 + (1 if tie_policy == 0 else 0)
-    return VoterTable.from_threshold(k, t)
+    return VoterTable(k, t)
 
 
 # --- sum-of-products emission ------------------------------------------------
@@ -260,18 +214,36 @@ def _replica_names(k: int, names: Sequence[str] | None) -> tuple[str, ...]:
     return names
 
 
+def _literal_strings(names: Sequence[str]) -> list[tuple[str, int]]:
+    """For each pattern over `names` (first name = MSB): "&lit&lit..." and its popcount."""
+    width = len(names)
+    return [
+        (
+            "".join(
+                "&" + name if pattern >> (width - 1 - j) & 1 else "&!" + name
+                for j, name in enumerate(names)
+            ),
+            pattern.bit_count(),
+        )
+        for pattern in range(1 << width)
+    ]
+
+
 def emit_minterm_sop(voter: VoterTable, names: Sequence[str] | None = None) -> str:
-    """Canonical sum of minterms, one term per accepted pattern, ascending."""
+    """Canonical sum of minterms, one term per accepted pattern, ascending.
+
+    A term is the literal string of the pattern's high ceil(k/2) bits joined
+    to that of its low floor(k/2) bits, each from a table of at most 256
+    strings; a high half with h ones takes every low half with >= t-h ones.
+    """
     names = _replica_names(voter.k, names)
-    terms = []
-    for pattern in range(1 << voter.k):
-        if not voter.decisions[pattern]:
-            continue
-        literals = []
-        for j, name in enumerate(names):
-            bit = (pattern >> (voter.k - 1 - j)) & 1
-            literals.append(name if bit else "!" + name)
-        terms.append("&".join(literals))
+    split = (voter.k + 1) // 2
+    t = voter.threshold
+    low = _literal_strings(names[split:])
+    low_at_least = [[text for text, ones in low if ones >= count] for count in range(t + 1)]
+    terms: list[str] = []
+    for high_text, high_ones in _literal_strings(names[:split]):
+        terms.extend(map(high_text[1:].__add__, low_at_least[max(t - high_ones, 0)]))
     return " + ".join(terms)
 
 
@@ -283,10 +255,7 @@ def emit_threshold_sop(
     Returns the expression and its size (C(k, t) terms of t literals each).
     """
     names = _replica_names(voter.k, names)
-    terms = [
-        "&".join(names[j] for j in subset)
-        for subset in combinations(range(voter.k), voter.threshold)
-    ]
+    terms = ["&".join(subset) for subset in combinations(names, voter.threshold)]
     return " + ".join(terms), SopMetrics(len(terms), voter.threshold * len(terms))
 
 

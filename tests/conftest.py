@@ -5,6 +5,13 @@ from probvoter.logic import parse_expression, parse_table_file
 TWO_ONES_FILE = b"a b c d\n0000000000001010\n"
 
 
+def nested_chain(n, depth):
+    """v0+(v1&(v2+(... over n variables: `depth` values pending at once."""
+    ops = "+&"
+    head = "".join(f"v{i % n}{ops[i % 2]}(" for i in range(depth - 1))
+    return head + f"v{(depth - 1) % n}" + ")" * (depth - 1)
+
+
 @pytest.fixture
 def two_ones():
     """4-input reference function with two 1-rows (heavily skewed toward 0)."""

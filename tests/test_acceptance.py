@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from analytic_oracle import enumerated_availability
 from probvoter.analytic import SystemModel, compare_and_crossover, system_availability
 from probvoter.cli import DEFAULT_PE, main
 from probvoter.logic import TruthTable, parse_expression
@@ -70,25 +71,6 @@ def test_criterion_3_majority_baseline():
     _verdict(3, "majority baseline", check)
 
 
-def _enumerated_availability(profile, voter, p):
-    """Independent oracle: walk all 2^k flip patterns and apply the voter."""
-    p = Fraction(p)
-    k = voter.k
-    # probability of a flip pattern depends only on how many flips it has
-    by_flips = [p**c * (1 - p) ** (k - c) for c in range(k + 1)]
-    weights = (
-        Fraction(profile.n0, 1 << profile.n),
-        Fraction(profile.n1, 1 << profile.n),
-    )
-    total = Fraction(0)
-    for golden in (0, 1):
-        for flips in range(1 << k):
-            pattern = [golden ^ ((flips >> (k - 1 - j)) & 1) for j in range(k)]
-            if voter.apply(pattern) == golden:
-                total += weights[golden] * by_flips[flips.bit_count()]
-    return total
-
-
 def test_criterion_4_oracle_vs_enumeration(two_ones, four_ones):
     def check():
         start = time.perf_counter()
@@ -106,7 +88,7 @@ def test_criterion_4_oracle_vs_enumeration(two_ones, four_ones):
                 for voter in voters:
                     for p in probabilities:
                         model = SystemModel(profile, voter, p)
-                        assert system_availability(model) == _enumerated_availability(
+                        assert system_availability(model) == enumerated_availability(
                             profile, voter, p
                         )
         assert time.perf_counter() - start < 1.0

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from analytic_oracle import enumerated_availability, fraction_availability
 from probvoter.analytic import (
     SystemModel,
     compare_and_crossover,
@@ -92,9 +93,42 @@ def test_closed_form_matches_enumeration_on_fixtures(two_ones, four_ones):
 def test_closed_form_matches_enumeration(shape, k, t, p):
     n, n1 = shape
     profile = ErrorProfile(n, (1 << n) - n1, n1)
-    voter = VoterTable.from_threshold(k, min(t, k))
+    voter = VoterTable(k, min(t, k))
     model = SystemModel(profile, voter, p)
     assert system_availability(model) == _enumerated_availability(profile, voter, p)
+
+
+_replicas_and_threshold = st.integers(min_value=1, max_value=16).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(min_value=1, max_value=k))
+)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=1 << n))
+    ),
+    _replicas_and_threshold,
+    st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    ),
+)
+def test_integer_closed_form_matches_both_oracles(shape, kt, p):
+    n, n1 = shape
+    profile = ErrorProfile(n, (1 << n) - n1, n1)
+    voter = VoterTable(*kt)
+    model = SystemModel(profile, voter, p)
+    exact = system_availability(model)
+    assert exact == fraction_availability(profile, voter, p)
+    assert exact == enumerated_availability(profile, voter, p)
+    assert expected_errors(model, 5000) == 5000 * (1 - exact)
+    # the crossover scan reports the same values for both voters it builds
+    point = compare_and_crossover(profile, voter.k, [p], tie_policy=1).points[0]
+    majority = synthesize_majority(voter.k, 1)
+    assert point.majority_availability == fraction_availability(profile, majority, p)
+    prob = synthesize_probabilistic(profile, voter.k)
+    assert point.prob_availability == fraction_availability(profile, prob, p)
 
 
 def test_expected_errors_at_one_half(two_ones):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 from probvoter.cli import CSV_HEADER, main
 from probvoter.logic import parse_expression, serialize_table
 
-from conftest import TWO_ONES_FILE
+from conftest import TWO_ONES_FILE, nested_chain
 
 QUAD_EXPR = "!a&!b&c + a&b&!d"
 
@@ -87,6 +88,8 @@ def test_long_sum_of_products(capsys):
         ("!(" * 3000 + "a" + ")" * 3000, 0, "N0=1 N1=1 E0=1/2 E1=1/2\n"),
         ("(" * 3000 + "a" + ")" * 2999, 3, ""),
         ("!" * 5000, 3, ""),
+        # 300 pending 2^20-row masks would need about 40 MB
+        (nested_chain(20, 300), 3, ""),
     ],
 )
 def test_deep_expressions_keep_the_exit_contract(capsys, expr, code, out):
@@ -301,6 +304,22 @@ def test_analytic_exact_rows(capsys, table_path, tmp_path):
     assert lines[0] == CSV_HEADER
     assert lines[1] == "0.3,0.7,0.784,0.89425,1080,528.75,0"
     assert lines[2] == "0.5,0.5,0.5,0.78125,2500,1093.75,0"
+
+
+def test_analytic_fine_grid_at_k16_is_unchanged(capsys, table_path, tmp_path):
+    # digest of the CSV written by the term-by-term Fraction implementation
+    out_path = tmp_path / "fine.csv"
+    grid = ",".join(f"{i}/2000" for i in range(1, 1001))
+    code, out, _ = run(
+        capsys, "analytic", "--table", table_path, "-k", "16", "--tie-policy", "1",
+        "--pe", grid, "--out", str(out_path),
+    )
+    assert code == 0
+    assert out == "crossover: pe in (0.3335, 0.334)\nwrote " + str(out_path) + " (1000 rows)\n"
+    assert (
+        hashlib.sha256(out_path.read_bytes()).hexdigest()
+        == "f288473d70898a3d0c1ef073e489c4ea33c4186b871b224cdc6d9610f8a37d9d"
+    )
 
 
 def test_analytic_reports_crossover(capsys, table_path, tmp_path):

@@ -5,10 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import logic_oracle
+from conftest import nested_chain
 from probvoter.logic import (
+    MAX_STACK_BITS,
     ExpressionError,
     TableFormatError,
     TruthTable,
+    _compile,
     output_line,
     parse_expression,
     parse_table_file,
@@ -194,7 +197,24 @@ def test_deep_alternating_nesting():
         assert table.outputs[row] == x
 
 
+def test_nesting_depth_is_bounded_by_the_row_count():
+    names = tuple(f"v{i}" for i in range(20))
+    limit = MAX_STACK_BITS >> 20
+    # right at the limit the masks still fit and the chain evaluates
+    table = parse_expression(nested_chain(20, limit), names)
+    assert table.symbol_counts()[1] > 0
+    deeper = nested_chain(20, limit + 1)
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(deeper, names)
+    assert "nests too deeply" in str(err.value)
+    assert err.value.position == deeper.rindex(f"v{limit % 20}")
+    # the same depth over three variables is 2^17 times smaller
+    assert parse_expression(nested_chain(3, 3000), ("v0", "v1", "v2")).arity == 3
+
+
 _EXPR_TEXT = st.text(alphabet="abcx01!~&*.+|() ", max_size=40)
+
+
 
 
 @given(_EXPR_TEXT)
@@ -282,6 +302,26 @@ def test_parser_matches_direct_evaluation(node):
     for row in range(8):
         env = {"p": (row >> 2) & 1, "q": (row >> 1) & 1, "r": row & 1}
         assert table.outputs[row] == _direct_eval(node, env)
+
+
+@given(st.one_of(_EXPR_TEXT, _ast.map(_render)))
+def test_compiler_reports_the_stack_depth(text):
+    try:
+        code, _, depth, _ = _compile(text)
+    except ExpressionError:
+        return
+    stack = peak = 0
+    for step in code:
+        stack += {"var": 1, "const": 1, "not": 0}.get(step[0], -1)
+        peak = max(peak, stack)
+    assert (stack, depth) == (1, peak)
+
+
+def test_chains_fold_as_they_go():
+    assert _compile("a+b+c+d")[2] == 2
+    assert _compile("a&b&c+d")[2] == 2
+    assert _compile("a&b+c&d")[2] == 3
+    assert _compile("a+(b+(c+d))")[2] == 4
 
 
 _tables = st.integers(min_value=1, max_value=6).flatmap(

@@ -260,7 +260,7 @@ def _sim_configs(draw):
     voters = (
         ("majority", synthesize_majority(k, tie_policy)),
         ("prob", synthesize_probabilistic(error_profile(function), k)),
-        ("threshold", VoterTable.from_threshold(k, draw(st.integers(1, k)))),
+        ("threshold", VoterTable(k, draw(st.integers(1, k)))),
     )
     pe_values = draw(
         st.lists(

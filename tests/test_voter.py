@@ -6,14 +6,9 @@ from hypothesis import strategies as st
 
 from probvoter.logic import parse_expression
 from probvoter.voter import (
-    INFINITY,
-    CostPair,
     ErrorProfile,
     SopMetrics,
-    VoteTally,
     VoterTable,
-    cost,
-    decide,
     emit_minterm_sop,
     emit_threshold_sop,
     error_profile,
@@ -21,6 +16,15 @@ from probvoter.voter import (
     synthesize_majority,
     synthesize_probabilistic,
     threshold_of,
+)
+from voter_oracle import (
+    INFINITY,
+    CostPair,
+    VoteTally,
+    cost,
+    cost_rule_threshold,
+    decide,
+    minterm_sop,
 )
 
 
@@ -76,6 +80,17 @@ def test_decide_agrees_with_integer_cross_multiplication():
                     else:
                         expected = 1 if profile.n0 * v0 <= profile.n1 * v1 else 0
                     assert decide(cost(profile, VoteTally(v0, v1))) == expected
+
+
+def test_threshold_formula_equals_the_cost_rule():
+    # exhaustive: every profile with n <= 6 and every replica count
+    for n in range(1, 7):
+        for n1 in range((1 << n) + 1):
+            profile = ErrorProfile(n, (1 << n) - n1, n1)
+            for k in range(1, 17):
+                assert synthesize_probabilistic(profile, k).threshold == cost_rule_threshold(
+                    profile, k
+                ), (n, n1, k)
 
 
 def test_tie_goes_to_one():
@@ -163,15 +178,18 @@ def test_threshold_of_rejects_non_threshold_tables(decisions):
 
 
 def test_voter_table_construction_checks_consistency():
+    # a table now fixes its own threshold: t=3 here, never a conflicting 2
+    assert VoterTable.from_decisions((0, 0, 0, 0, 0, 0, 0, 1)) == VoterTable(3, 3)
+    for k, t in ((3, 0), (3, 4), (0, 1), (17, 1)):
+        with pytest.raises(ValueError):
+            VoterTable(k, t)
     with pytest.raises(ValueError):
-        VoterTable(3, 2, (0, 0, 0, 0, 0, 0, 0, 1))  # table says t=3, field says 2
-    with pytest.raises(ValueError):
-        VoterTable(3, 0, (0,) * 8)
-    assert VoterTable.from_decisions((0, 0, 0, 1, 0, 1, 1, 1)) == VoterTable.from_threshold(3, 2)
+        VoterTable.from_decisions((0,) * 8)
+    assert VoterTable.from_decisions((0, 0, 0, 1, 0, 1, 1, 1)) == VoterTable(3, 2)
 
 
 def test_apply_indexes_replica_one_first():
-    voter = VoterTable.from_threshold(3, 3)
+    voter = VoterTable(3, 3)
     assert voter.apply((1, 1, 1)) == 1
     assert voter.apply((1, 1, 0)) == 0
     with pytest.raises(ValueError):
@@ -183,6 +201,25 @@ def test_apply_indexes_replica_one_first():
 def test_minterm_sop_of_unanimity(two_ones):
     voter = synthesize_probabilistic(error_profile(two_ones), 3)
     assert emit_minterm_sop(voter) == "y1&y2&y3"
+
+
+def test_decisions_are_the_popcount_threshold():
+    for k in range(1, 11):
+        for t in range(1, k + 1):
+            voter = VoterTable(k, t)
+            expected = tuple(int(p.bit_count() >= t) for p in range(1 << k))
+            assert voter.decisions == expected
+            assert voter.as_table().outputs == bytes(expected)
+
+
+@pytest.mark.parametrize(
+    "k, t",
+    [(k, t) for k in range(1, 13) for t in range(1, k + 1)]
+    + [(k, t) for k in range(13, 17) for t in (1, k // 2, k)],
+)
+def test_minterm_sop_equals_the_literal_loop(k, t):
+    voter = VoterTable(k, t)
+    assert emit_minterm_sop(voter) == minterm_sop(voter)
 
 
 def test_minterm_sop_of_majority():
