@@ -15,6 +15,13 @@ with N0, N1 the 0-rows and 1-rows of the truth table.  Writing p = a/d,
 so one pass over j gives the integer partial sums S for every threshold,
 and A(p) is the single `Fraction((N0*S[t-1] + N1*S[k-t]), d^k * 2^n)`.
 Results are exact for rational p; no float enters an availability.
+
+Every voter at one p shares the denominator D = d^k * 2^n, and so does
+every expected error count: `trials` inputs give `trials * (D - N)` wrong
+outputs over D for an availability N over D.  `compare_and_crossover`
+therefore makes one pass per grid point and keeps each `ComparisonPoint`
+as two integer numerators over D.  The crossover sign is the sign of their
+difference, and a caller printing the values never needs a gcd.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from .voter import ErrorProfile, VoterTable, synthesize_majority, synthesize_pro
 
 
 def _as_probability(p) -> Fraction:
-    value = Fraction(p)
-    if not 0 <= value <= 1:
+    value = p if isinstance(p, Fraction) else Fraction(p)
+    # a Fraction's denominator is positive: compare integers, not Fractions
+    if not 0 <= value.numerator <= value.denominator:
         raise ValueError(f"probability must be in [0, 1], got {p!r}")
     return value
 
@@ -95,9 +103,20 @@ def expected_errors(model: SystemModel, trials: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ComparisonPoint:
+    """Both voters' availabilities at one p, as numerators over D = d^k * 2^n."""
+
     p: Fraction
-    prob_availability: Fraction
-    majority_availability: Fraction
+    prob_numerator: int
+    majority_numerator: int
+    denominator: int
+
+    @property
+    def prob_availability(self) -> Fraction:
+        return Fraction(self.prob_numerator, self.denominator)
+
+    @property
+    def majority_availability(self) -> Fraction:
+        return Fraction(self.majority_numerator, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -135,12 +154,9 @@ def compare_and_crossover(
         # both availabilities share the denominator d^k * 2^n, so the sign
         # of their difference is the sign of the numerators' difference
         sums = _cdf_numerators(k, p)
-        denominator = sums[-1] << profile.n
         prob = _availability_numerator(profile, prob_t, sums)
         majority = _availability_numerator(profile, majority_t, sums)
-        points.append(
-            ComparisonPoint(p, Fraction(prob, denominator), Fraction(majority, denominator))
-        )
+        points.append(ComparisonPoint(p, prob, majority, sums[-1] << profile.n))
         sign = (prob > majority) - (prob < majority)
         if sign != 0:
             if last_sign != 0 and sign != last_sign:

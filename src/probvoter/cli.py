@@ -24,24 +24,26 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
-from .analytic import (
-    SystemModel,
-    compare_and_crossover,
-    expected_errors,
-    module_availability,
-)
+from .analytic import ComparisonPoint, compare_and_crossover
+
+# Not called here: the benchmark's tracer (bench/spans.py) wraps these two
+# names on this module, so they must stay importable from it.
+from .analytic import expected_errors, module_availability  # noqa: F401
 from .logic import (
     ExpressionError,
     TableFormatError,
+    TruthTable,
     output_line,
     parse_expression,
     parse_table_file,
 )
 from .sim import SimConfig, run_sweep
 from .voter import (
+    ErrorProfile,
+    VoterTable,
     emit_minterm_sop,
     emit_threshold_sop,
     error_profile,
@@ -66,6 +68,9 @@ MAX_PE_EXPONENT = 1000
 _EXPONENT_RE = re.compile(r"e([-+]?[\d_]+)\Z", re.IGNORECASE)
 
 DEFAULT_TRIALS = 5000
+# Keeps every error count inside a 64-bit signed integer and its float repr
+# finite.
+MAX_TRIALS = (1 << 63) - 1
 DEFAULT_SEED = 0xC0FFEE
 
 EXIT_CONFIG = 2
@@ -82,26 +87,69 @@ def _integer(text: str) -> int:
     return int(text, 0)
 
 
-def _format_exact(x: Fraction) -> str:
-    """Exact decimal string when the denominator is 2^a * 5^b, else float repr."""
-    if x < 0:
-        return "-" + _format_exact(-x)
-    den = x.denominator
+# Python refuses to convert an int of more than sys.get_int_max_str_digits()
+# digits (4,300 by default, never below 640) to text, so longer decimals are
+# converted this many digits at a time.
+_TEXT_CHUNK_DIGITS = 500
+_TEXT_CHUNK = 10**_TEXT_CHUNK_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int n >= 0 of any length."""
+    if n < _TEXT_CHUNK:
+        return str(n)
+    chunks = []
+    while n >= _TEXT_CHUNK:
+        n, low = divmod(n, _TEXT_CHUNK)
+        chunks.append(f"{low:0{_TEXT_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _split_ten(den: int) -> tuple[int, int, int]:
+    """(a, b, r) with den = 2^a * 5^b * r and r prime to 10."""
     twos = (den & -den).bit_length() - 1
     den >>= twos
     fives = 0
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
-        return repr(float(x))
+    return twos, fives, den
+
+
+def _decimal_scale(twos: int, fives: int) -> tuple[int, int]:
+    """(places, m) such that x / (2^twos * 5^fives) = x * m / 10^places."""
     places = max(twos, fives)
-    scaled = x.numerator * 2 ** (places - twos) * 5 ** (places - fives)
+    return places, (1 << (places - twos)) * 5 ** (places - fives)
+
+
+def _decimal(scaled: int, places: int) -> str:
+    """scaled / 10^places, scaled >= 0, as a decimal without trailing zeros.
+
+    Stripping the zeros makes the text that of the reduced fraction, so the
+    denominator 10^places need not be the smallest one.
+    """
     if places == 0:
-        return str(scaled)
-    digits = str(scaled).rjust(places + 1, "0")
+        return _int_text(scaled)
+    digits = _int_text(scaled).rjust(places + 1, "0")
     whole, fractional = digits[:-places], digits[-places:].rstrip("0")
     return whole if not fractional else f"{whole}.{fractional}"
+
+
+def _format_exact(x: Fraction) -> str:
+    """Exact decimal of x >= 0 when its denominator is 2^a * 5^b, else float repr."""
+    twos, fives, rest = _split_ten(x.denominator)
+    if rest != 1:
+        return repr(float(x))
+    places, scale = _decimal_scale(twos, fives)
+    return _decimal(x.numerator * scale, places)
+
+
+def _fraction_text(x: Fraction) -> str:
+    """str(x) for a Fraction x >= 0 of any size."""
+    if x.denominator == 1:
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
@@ -123,7 +171,7 @@ def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
                 value = Fraction(part)
             except (ValueError, ZeroDivisionError):
                 raise _CliError(f"cannot parse probability {part!r}", EXIT_CONFIG) from None
-            if not 0 <= value <= 1:
+            if not 0 <= value.numerator <= value.denominator:
                 raise _CliError(f"probability {part} is outside [0, 1]", EXIT_CONFIG)
             values.append(value)
     return tuple(values)
@@ -161,15 +209,6 @@ def _load_function(args):
             "vars": list(names) if names is not None else None,
         }
     raise _CliError("a function is required: --table PATH or --expr TEXT", EXIT_CONFIG)
-
-
-def _build_voters(profile, k: int, tie_policy: int | None):
-    try:
-        majority = synthesize_majority(k, tie_policy)
-        prob = synthesize_probabilistic(profile, k)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_CONFIG) from exc
-    return majority, prob
 
 
 def _function_manifest(table, source) -> dict:
@@ -230,97 +269,123 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+class _Sweep(NamedTuple):
+    """What `simulate` and `analytic` both build from their arguments."""
+
+    table: TruthTable
+    source: dict
+    profile: ErrorProfile
+    grid: tuple[Fraction, ...]
+    majority: VoterTable
+    prob: VoterTable
+
+
+def _load_sweep(args) -> _Sweep:
     table, source = _load_function(args)
     profile = error_profile(table)
     grid = _parse_pe_grid(args.pe)
-    majority, prob = _build_voters(profile, args.replicas, args.tie_policy)
+    try:
+        majority = synthesize_majority(args.replicas, args.tie_policy)
+        prob = synthesize_probabilistic(profile, args.replicas)
+    except ValueError as exc:
+        raise _CliError(str(exc), EXIT_CONFIG) from exc
+    if args.trials > MAX_TRIALS:
+        raise _CliError(f"--trials must be at most {MAX_TRIALS}", EXIT_CONFIG)
+    return _Sweep(table, source, profile, grid, majority, prob)
+
+
+def _write_sweep(args, sweep: _Sweep, rows: list[str], **manifest) -> None:
+    """Write the CSV and its manifest; `manifest` adds command-specific keys."""
+    _write_text(args.out, "\n".join([CSV_HEADER, *rows]) + "\n")
+    _write_manifest(
+        args.out,
+        {
+            "command": args.command,
+            "function": _function_manifest(sweep.table, sweep.source),
+            "k": args.replicas,
+            "tie_policy": args.tie_policy,
+            "pe": [_fraction_text(pe) for pe in sweep.grid],
+            "trials": args.trials,
+            "out": str(args.out),
+            **manifest,
+        },
+    )
+
+
+def cmd_simulate(args) -> int:
+    sweep = _load_sweep(args)
     try:
         config = SimConfig(
-            function=table,
+            function=sweep.table,
             k=args.replicas,
-            voters=(("majority", majority), ("prob", prob)),
-            pe_values=grid,
+            voters=(("majority", sweep.majority), ("prob", sweep.prob)),
+            pe_values=sweep.grid,
             trials=args.trials,
             master_seed=args.seed,
         )
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
     records = run_sweep(config)
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                (
-                    _format_exact(rec.pe),
-                    repr(float(rec.module_availability)),
-                    repr(float(rec.availability("majority"))),
-                    repr(float(rec.availability("prob"))),
-                    str(rec.errors("majority")),
-                    str(rec.errors("prob")),
-                    str(rec.trials),
-                )
+    rows = [
+        ",".join(
+            (
+                _format_exact(rec.pe),
+                repr(float(rec.module_availability)),
+                repr(float(rec.availability("majority"))),
+                repr(float(rec.availability("prob"))),
+                str(rec.errors("majority")),
+                str(rec.errors("prob")),
+                str(rec.trials),
             )
         )
-    _write_text(args.out, "\n".join(lines) + "\n")
-    _write_manifest(
-        args.out,
-        {
-            "command": "simulate",
-            "function": _function_manifest(table, source),
-            "k": args.replicas,
-            "tie_policy": args.tie_policy,
-            "pe": [str(pe) for pe in grid],
-            "trials": args.trials,
-            "seed": args.seed,
-            "out": str(args.out),
-        },
-    )
+        for rec in records
+    ]
+    _write_sweep(args, sweep, rows, seed=args.seed)
     print(f"wrote {args.out} ({len(records)} rows)")
     return 0
 
 
+def analytic_row(point: ComparisonPoint, k: int, n: int, trials: int) -> str:
+    """One `analytic` CSV row: p, 1 - p, both availabilities and both
+    expected error counts over `trials` inputs, as exact decimals.
+
+    For p = a/d every availability and error count at this point is an
+    integer over D = d^k * 2^n.  When d = 2^x * 5^y, each value is printed
+    from its numerator by integer scaling; otherwise the reduced fraction
+    decides between an exact decimal and a float repr.
+    """
+    p, den = point.p, point.denominator
+    numerators = (
+        point.majority_numerator,
+        point.prob_numerator,
+        trials * (den - point.majority_numerator),
+        trials * (den - point.prob_numerator),
+    )
+    twos, fives, rest = _split_ten(p.denominator)
+    if rest == 1:
+        a, d = p.numerator, p.denominator
+        places, scale = _decimal_scale(twos, fives)
+        cells = [_decimal(a * scale, places), _decimal((d - a) * scale, places)]
+        places, scale = _decimal_scale(k * twos + n, k * fives)
+        cells += [_decimal(num * scale, places) for num in numerators]
+    else:
+        cells = [_format_exact(p), _format_exact(1 - p)]
+        cells += [_format_exact(Fraction(num, den)) for num in numerators]
+    cells.append("0")
+    return ",".join(cells)
+
+
 def cmd_analytic(args) -> int:
-    table, source = _load_function(args)
-    profile = error_profile(table)
-    grid = _parse_pe_grid(args.pe)
-    majority, prob = _build_voters(profile, args.replicas, args.tie_policy)
+    sweep = _load_sweep(args)
     if args.trials < 0:
         raise _CliError(f"trial count must be non-negative, got {args.trials}", EXIT_CONFIG)
     try:
-        comparison = compare_and_crossover(profile, args.replicas, grid, args.tie_policy)
+        comparison = compare_and_crossover(sweep.profile, args.replicas, sweep.grid, args.tie_policy)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
-    lines = [CSV_HEADER]
-    for point in comparison.points:
-        err_majority = expected_errors(SystemModel(profile, majority, point.p), args.trials)
-        err_prob = expected_errors(SystemModel(profile, prob, point.p), args.trials)
-        lines.append(
-            ",".join(
-                (
-                    _format_exact(point.p),
-                    _format_exact(module_availability(point.p)),
-                    _format_exact(point.majority_availability),
-                    _format_exact(point.prob_availability),
-                    _format_exact(err_majority),
-                    _format_exact(err_prob),
-                    "0",
-                )
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
-    _write_manifest(
-        args.out,
-        {
-            "command": "analytic",
-            "function": _function_manifest(table, source),
-            "k": args.replicas,
-            "tie_policy": args.tie_policy,
-            "pe": [str(pe) for pe in grid],
-            "trials": args.trials,
-            "out": str(args.out),
-        },
-    )
+    n = sweep.profile.n
+    rows = [analytic_row(point, args.replicas, n, args.trials) for point in comparison.points]
+    _write_sweep(args, sweep, rows)
     for low, high in comparison.crossovers:
         print(f"crossover: pe in ({_format_exact(low)}, {_format_exact(high)})")
     if not comparison.crossovers:
@@ -410,6 +475,8 @@ def _add_function_arguments(parser) -> None:
 
 
 def _add_sweep_arguments(parser) -> None:
+    parser.add_argument("-k", "--replicas", type=int, default=3, help="replica count (default %(default)s)")
+    parser.add_argument("--tie-policy", type=int, choices=(0, 1), default=None, help="which symbol wins an even split (required for even k)")
     parser.add_argument("--pe", action="append", metavar="P[,P...]", help="flip probabilities (decimals or fractions); repeatable or comma-separated; default is a 15-point grid from 0.001 to 0.5")
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="inputs per probability (default %(default)s)")
     parser.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
@@ -438,16 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="Monte Carlo fault-injection sweep")
     _add_function_arguments(simulate)
-    simulate.add_argument("-k", "--replicas", type=int, default=3, help="replica count (default %(default)s)")
-    simulate.add_argument("--tie-policy", type=int, choices=(0, 1), default=None, help="which symbol wins an even split (required for even k)")
     _add_sweep_arguments(simulate)
     simulate.add_argument("--seed", type=_integer, default=DEFAULT_SEED, help="64-bit master seed, decimal or 0x-hex (default 0xC0FFEE)")
     simulate.set_defaults(func=cmd_simulate)
 
     analytic = sub.add_parser("analytic", help="exact availability sweep")
     _add_function_arguments(analytic)
-    analytic.add_argument("-k", "--replicas", type=int, default=3, help="replica count (default %(default)s)")
-    analytic.add_argument("--tie-policy", type=int, choices=(0, 1), default=None, help="which symbol wins an even split (required for even k)")
     _add_sweep_arguments(analytic)
     analytic.set_defaults(func=cmd_analytic)
 

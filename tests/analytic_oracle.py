@@ -5,6 +5,10 @@
 all: it applies the voter to every one of the 2^k flip patterns, once per
 distinct (k, t, golden symbol), counts the patterns it recovers by their
 number of flips, and only then weights those counts by p.
+
+`analytic_csv` is the `analytic` command's CSV built one model at a time:
+`system_availability` and `expected_errors` per (voter, p), each value a
+reduced `Fraction` printed by `format_exact`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from probvoter.voter import ErrorProfile, VoterTable
+from probvoter.analytic import SystemModel, expected_errors, system_availability
+from probvoter.cli import CSV_HEADER
+from probvoter.voter import ErrorProfile, VoterTable, synthesize_majority, synthesize_probabilistic
 
 
 def binomial_cdf(k: int, m: int, p: Fraction) -> Fraction:
@@ -62,3 +68,39 @@ def enumerated_availability(profile: ErrorProfile, voter: VoterTable, p) -> Frac
         counts = recovered_by_flips(voter, golden)
         total += rows * sum(count * chance for count, chance in zip(counts, by_flips))
     return total / (1 << profile.n)
+
+
+def format_exact(x: Fraction) -> str:
+    """Exact decimal string when the denominator is 2^a * 5^b, else float repr."""
+    den = x.denominator
+    twos = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return repr(float(x))
+    places = max(twos, fives)
+    scaled = x.numerator * 2 ** (places - twos) * 5 ** (places - fives)
+    if places == 0:
+        return str(scaled)
+    digits = str(scaled).rjust(places + 1, "0")
+    whole, fractional = digits[:-places], digits[-places:].rstrip("0")
+    return whole if not fractional else f"{whole}.{fractional}"
+
+
+def analytic_csv(profile: ErrorProfile, k: int, tie_policy, grid, trials: int) -> str:
+    majority = synthesize_majority(k, tie_policy)
+    prob = synthesize_probabilistic(profile, k)
+    lines = [CSV_HEADER]
+    for p in grid:
+        p = Fraction(p)
+        models = [SystemModel(profile, voter, p) for voter in (majority, prob)]
+        values = [p, 1 - p]
+        values += [system_availability(model) for model in models]
+        values += [expected_errors(model, trials) for model in models]
+        lines.append(",".join(map(format_exact, values)) + ",0")
+    return "\n".join(lines) + "\n"

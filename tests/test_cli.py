@@ -358,6 +358,9 @@ def test_pe_flag_validation(capsys, table_path, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "simulate", "--table", table_path, "--pe", "1.5", "--out", out_path)
     assert code == 2
+    assert err == "probvoter: probability 1.5 is outside [0, 1]\n"
+    code, _, err = run(capsys, "analytic", "--table", table_path, "--pe=-1/3", "--out", out_path)
+    assert (code, err) == (2, "probvoter: probability -1/3 is outside [0, 1]\n")
 
 
 def test_plot_emits_script_and_data(capsys, table_path, tmp_path):
