@@ -80,7 +80,7 @@ def spot_check(fixture: Fixture, trials: int, seed: int) -> None:
             f"{float(exact_maj):>10.5f} {float(record.availability('majority')):>9.4f}  "
             f"{float(exact_prob):>10.5f} {float(record.availability('prob')):>9.4f}"
         )
-    comparison = compare_and_crossover(profile, fixture.k, DEFAULT_PE)
+    comparison = compare_and_crossover(profile, majority, prob, DEFAULT_PE)
     if comparison.crossovers:
         for low, high in comparison.crossovers:
             print(f"voters swap rank between pe={low} and pe={high}")

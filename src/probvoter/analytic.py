@@ -19,9 +19,10 @@ Results are exact for rational p; no float enters an availability.
 Every voter at one p shares the denominator D = d^k * 2^n, and so does
 every expected error count: `trials` inputs give `trials * (D - N)` wrong
 outputs over D for an availability N over D.  `compare_and_crossover`
-therefore makes one pass per grid point and keeps each `ComparisonPoint`
-as two integer numerators over D.  The crossover sign is the sign of their
-difference, and a caller printing the values never needs a gcd.
+therefore makes one pass per grid point for the two voters its caller
+built and keeps each `ComparisonPoint` as two integer numerators over D.
+The crossover sign is the sign of their difference, and a caller printing
+the values never needs a gcd.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .voter import ErrorProfile, VoterTable, synthesize_majority, synthesize_probabilistic
+from .voter import ErrorProfile, VoterTable
+
+# Not called here: the benchmark's tracer (bench/spans.py) wraps them by name.
+from .voter import synthesize_majority, synthesize_probabilistic  # noqa: F401
 
 
 def _as_probability(p) -> Fraction:
@@ -135,17 +139,19 @@ class CurveComparison:
 
 def compare_and_crossover(
     profile: ErrorProfile,
-    k: int,
+    majority: VoterTable,
+    prob: VoterTable,
     p_grid: Sequence,
-    tie_policy: int | None = None,
 ) -> CurveComparison:
+    """Both voters' availabilities at every grid point, and where they cross."""
+    if majority.k != prob.k:
+        raise ValueError(f"voters differ in replica count: {majority.k} and {prob.k}")
     grid = tuple(_as_probability(p) for p in p_grid)
     if not grid:
         raise ValueError("probability grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("probability grid must be strictly ascending")
-    prob_t = synthesize_probabilistic(profile, k).threshold
-    majority_t = synthesize_majority(k, tie_policy).threshold
+    k, prob_t, majority_t = prob.k, prob.threshold, majority.threshold
     points = []
     crossovers = []
     last_sign = 0
@@ -154,10 +160,10 @@ def compare_and_crossover(
         # both availabilities share the denominator d^k * 2^n, so the sign
         # of their difference is the sign of the numerators' difference
         sums = _cdf_numerators(k, p)
-        prob = _availability_numerator(profile, prob_t, sums)
-        majority = _availability_numerator(profile, majority_t, sums)
-        points.append(ComparisonPoint(p, prob, majority, sums[-1] << profile.n))
-        sign = (prob > majority) - (prob < majority)
+        prob_n = _availability_numerator(profile, prob_t, sums)
+        majority_n = _availability_numerator(profile, majority_t, sums)
+        points.append(ComparisonPoint(p, prob_n, majority_n, sums[-1] << profile.n))
+        sign = (prob_n > majority_n) - (prob_n < majority_n)
         if sign != 0:
             if last_sign != 0 and sign != last_sign:
                 crossovers.append((last_signed_p, p))

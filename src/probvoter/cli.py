@@ -380,7 +380,7 @@ def cmd_analytic(args) -> int:
     if args.trials < 0:
         raise _CliError(f"trial count must be non-negative, got {args.trials}", EXIT_CONFIG)
     try:
-        comparison = compare_and_crossover(sweep.profile, args.replicas, sweep.grid, args.tie_policy)
+        comparison = compare_and_crossover(sweep.profile, sweep.majority, sweep.prob, sweep.grid)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
     n = sweep.profile.n
@@ -442,6 +442,8 @@ def cmd_plot(args) -> int:
     if not rows:
         raise _CliError(f"{args.csv}: no data rows", EXIT_PARSE)
     out = Path(args.out)
+    if not out.name:
+        raise _CliError(f"--out {args.out!r} has no file name", EXIT_CONFIG)
     data_path = out.with_suffix(".dat")
     if data_path == out:
         raise _CliError("--out must not itself end in .dat", EXIT_CONFIG)
@@ -526,6 +528,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse may drop a "--" given as an option's value ("--out=--")
+        # and store an empty list in place of the string
+        for dest, value in vars(args).items():
+            if isinstance(value, list) and (not value or [] in value):
+                parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:

@@ -16,8 +16,10 @@ voter is a popcount threshold
 
     t = max(1, ceil(k * N0 / 2^n))
 
-and a `VoterTable` is just the pair (k, t); its 2^k decisions are derived
-on demand.  All arithmetic is over integers: no float enters a decision.
+and a `VoterTable` is just the pair (k, t): pattern p decides 1 iff
+popcount(p) >= t.  `as_table` is the one place its 2^k decisions are
+written out, for `synth` to print.  All arithmetic is over integers: no
+float enters a decision.
 The cost rule written out pattern class by pattern class lives in the
 tests as the oracle this formula is checked against.
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -74,39 +75,6 @@ def error_profile(table: TruthTable) -> ErrorProfile:
     return ErrorProfile(table.arity, n0, n1)
 
 
-def threshold_of(decisions: Sequence[int]) -> int:
-    """Extract the popcount threshold of a 2^k-entry decision table.
-
-    Verifies that the table is symmetric (equal-popcount patterns agree)
-    and monotone (0s below some count t, 1s at and above it), which guards
-    hand-built tables before they are wrapped in a `VoterTable`.
-    """
-    size = len(decisions)
-    k = size.bit_length() - 1
-    if size < 2 or size != 1 << k:
-        raise ValueError(f"decision table length {size} is not a power of two >= 2")
-    if k > MAX_REPLICAS:
-        raise ValueError(f"too many replicas: {k} > {MAX_REPLICAS}")
-    by_count: list[int | None] = [None] * (k + 1)
-    for pattern in range(size):
-        value = decisions[pattern]
-        if value not in (0, 1):
-            raise ValueError(f"decision for pattern {pattern} must be 0 or 1")
-        count = pattern.bit_count()
-        if by_count[count] is None:
-            by_count[count] = value
-        elif by_count[count] != value:
-            raise ValueError(
-                f"not symmetric: patterns with {count} ones decide both 0 and 1"
-            )
-    if by_count[0] != 0 or by_count[k] != 1:
-        raise ValueError("table must decide 0 on all-zeros and 1 on all-ones")
-    t = by_count.index(1)
-    if any(v != 1 for v in by_count[t:]):
-        raise ValueError("not monotone in the number of ones")
-    return t
-
-
 def _decision_bytes(k: int, threshold: int) -> bytes:
     """One byte (0 or 1) per replica pattern: 1 iff popcount >= threshold.
 
@@ -121,12 +89,7 @@ def _decision_bytes(k: int, threshold: int) -> bytes:
 
 @dataclass(frozen=True)
 class VoterTable:
-    """A k-input threshold voter: output 1 iff at least `threshold` replicas show 1.
-
-    `decisions[p]` is the output for replica pattern p, where replica 1 is
-    the most significant bit of p; it is derived from (k, threshold) on
-    first use.
-    """
+    """A k-input threshold voter: output 1 iff at least `threshold` replicas show 1."""
 
     k: int
     threshold: int
@@ -137,26 +100,8 @@ class VoterTable:
         if not 1 <= self.threshold <= self.k:
             raise ValueError(f"threshold must be between 1 and {self.k}, got {self.threshold}")
 
-    @cached_property
-    def decisions(self) -> tuple[int, ...]:
-        return tuple(_decision_bytes(self.k, self.threshold))
-
-    @classmethod
-    def from_decisions(cls, decisions: Sequence[int]) -> "VoterTable":
-        """The voter of a hand-built 2^k-entry table, checked by `threshold_of`."""
-        bits = tuple(int(b) for b in decisions)
-        return cls(len(bits).bit_length() - 1, threshold_of(bits))
-
-    def apply(self, replica_bits: Sequence[int]) -> int:
-        """Vote on one replica pattern (replica 1 first)."""
-        if len(replica_bits) != self.k:
-            raise ValueError(f"expected {self.k} replica bits, got {len(replica_bits)}")
-        if any(b not in (0, 1) for b in replica_bits):
-            raise ValueError("replica bits must be 0 or 1")
-        return 1 if sum(replica_bits) >= self.threshold else 0
-
     def as_table(self, names: Sequence[str] | None = None) -> TruthTable:
-        """The voter as an ordinary truth table over replica inputs."""
+        """The voter as an ordinary truth table; replica 1 is a row's MSB."""
         return TruthTable(
             _replica_names(self.k, names), _decision_bytes(self.k, self.threshold)
         )

@@ -2,9 +2,10 @@
 
 `fraction_availability` is the closed form summed term by term over
 `Fraction`s.  `enumerated_availability` does not use the closed form at
-all: it applies the voter to every one of the 2^k flip patterns, once per
-distinct (k, t, golden symbol), counts the patterns it recovers by their
-number of flips, and only then weights those counts by p.
+all: it votes on every one of the 2^k replica patterns by counting its
+ones against t, once per distinct (k, t, golden symbol), counts the
+patterns it recovers by their number of flips, and only then weights those
+counts by p.
 
 `analytic_csv` is the `analytic` command's CSV built one model at a time:
 `system_availability` and `expected_errors` per (voter, p), each value a
@@ -51,9 +52,9 @@ def recovered_by_flips(voter: VoterTable, golden: int) -> tuple[int, ...]:
     k = voter.k
     counts = [0] * (k + 1)
     for pattern in product((0, 1), repeat=k):
-        if voter.apply(pattern) == golden:
+        ones = sum(pattern)
+        if (ones >= voter.threshold) == golden:
             # the replicas that disagree with the golden symbol flipped
-            ones = sum(pattern)
             counts[k - ones if golden else ones] += 1
     return tuple(counts)
 

@@ -59,7 +59,7 @@ def run_trial(
     for _ in range(k):
         bit, state = inject(golden, pe, state)
         bits.append(bit)
-    flags = tuple(v.apply(bits) == golden for v in voters)
+    flags = tuple((sum(bits) >= v.threshold) == golden for v in voters)
     return flags, bits[0] == golden, state
 
 

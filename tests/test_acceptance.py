@@ -24,8 +24,8 @@ from probvoter.voter import (
     error_profile,
     synthesize_majority,
     synthesize_probabilistic,
-    threshold_of,
 )
+from voter_oracle import popcount_table
 
 PRIMARY_SEED = 0xC0FFEE
 RETRY_SEED = 0x5EEDFACE
@@ -55,10 +55,10 @@ def test_criterion_1_error_profiles(two_ones, four_ones):
 def test_criterion_2_synthesized_voters(two_ones, four_ones):
     def check():
         tmr = synthesize_probabilistic(error_profile(two_ones), 3)
-        assert tmr.decisions == (0, 0, 0, 0, 0, 0, 0, 1)
+        assert popcount_table(tmr.k, tmr.threshold) == bytes((0, 0, 0, 0, 0, 0, 0, 1))
         assert emit_minterm_sop(tmr) == "y1&y2&y3"
         fivemr = synthesize_probabilistic(error_profile(four_ones), 5)
-        accepted = {p for p in range(32) if fivemr.decisions[p]}
+        accepted = {p for p in range(32) if popcount_table(fivemr.k, fivemr.threshold)[p]}
         assert accepted == {0b01111, 0b10111, 0b11011, 0b11101, 0b11110, 0b11111}
 
     _verdict(2, "synthesized voter tables", check)
@@ -66,7 +66,8 @@ def test_criterion_2_synthesized_voters(two_ones, four_ones):
 
 def test_criterion_3_majority_baseline():
     def check():
-        assert synthesize_majority(3).decisions == (0, 0, 0, 1, 0, 1, 1, 1)
+        majority = synthesize_majority(3)
+        assert popcount_table(majority.k, majority.threshold) == bytes((0, 0, 0, 1, 0, 1, 1, 1))
 
     _verdict(3, "majority baseline", check)
 
@@ -188,7 +189,9 @@ def test_criterion_6_curve_claims(two_ones, four_ones, tmp_path, capsys):
 
         # the small-pe regime where majority leads is reported, not hidden
         grid = [Fraction(n, 100) for n in range(10, 16)]
-        comparison = compare_and_crossover(tmr_profile, 3, grid)
+        comparison = compare_and_crossover(
+            tmr_profile, synthesize_majority(3), synthesize_probabilistic(tmr_profile, 3), grid
+        )
         assert comparison.crossovers == ((Fraction(12, 100), Fraction(13, 100)),)
         assert Fraction(12, 100) < Fraction(1, 8) < Fraction(13, 100)
         low = comparison.points[0]
@@ -205,15 +208,16 @@ def test_criterion_6_curve_claims(two_ones, four_ones, tmp_path, capsys):
 def test_criterion_7_property_suite(two_ones, four_ones):
     def check():
         start = time.perf_counter()
-        # threshold existence, symmetry, monotonicity, unanimity: exhaustive
-        # over every profile shape with n <= 3 and every k <= 7
+        # a (k, t) voter is symmetric and monotone by construction; unanimity
+        # and the special cases: exhaustive over every profile shape with
+        # n <= 3 and every k <= 7
         for n in (1, 2, 3):
             for n1 in range((1 << n) + 1):
                 profile = ErrorProfile(n, (1 << n) - n1, n1)
                 for k in range(1, 8):
                     voter = synthesize_probabilistic(profile, k)
-                    assert threshold_of(voter.decisions) == voter.threshold
-                    assert voter.decisions[0] == 0 and voter.decisions[-1] == 1
+                    table = popcount_table(voter.k, voter.threshold)
+                    assert len(table) == 1 << k and table[0] == 0 and table[-1] == 1
                     if n1 == 1 << (n - 1) and k % 2 == 1:
                         assert voter == synthesize_majority(k)
                     if n1 == 0:
@@ -229,9 +233,10 @@ def test_criterion_7_property_suite(two_ones, four_ones):
         ]
         for voter in voters:
             names = tuple(f"y{i}" for i in range(1, voter.k + 1))
-            assert tuple(parse_expression(emit_minterm_sop(voter), names).outputs) == voter.decisions
+            table = popcount_table(voter.k, voter.threshold)
+            assert parse_expression(emit_minterm_sop(voter), names).outputs == table
             expression, _ = emit_threshold_sop(voter)
-            assert tuple(parse_expression(expression, names).outputs) == voter.decisions
+            assert parse_expression(expression, names).outputs == table
         # sweep determinism under a fixed seed
         profile = error_profile(two_ones)
         config = SimConfig(
@@ -258,7 +263,7 @@ def test_criterion_8_voter_complexity(two_ones):
         assert (majority_metrics.terms, majority_metrics.literals) == (3, 6)
         # the minimized forms are equivalence-checked against the tables
         names = ("y1", "y2", "y3")
-        assert tuple(parse_expression(prob_sop, names).outputs) == prob.decisions
-        assert tuple(parse_expression(majority_sop, names).outputs) == majority.decisions
+        assert parse_expression(prob_sop, names).outputs == popcount_table(3, prob.threshold)
+        assert parse_expression(majority_sop, names).outputs == popcount_table(3, majority.threshold)
 
     _verdict(8, "voter complexity metrics", check)

@@ -36,9 +36,15 @@ def _enumerated_availability(profile, voter, p):
             for r in range(k):
                 chance *= p if (flips >> r) & 1 else 1 - p
             pattern = [golden ^ ((flips >> (k - 1 - j)) & 1) for j in range(k)]
-            if voter.apply(pattern) == golden:
+            if (sum(pattern) >= voter.threshold) == golden:
                 total += weights[golden] * chance
     return total
+
+
+def _compare(profile, k, grid):
+    """The crossover scan of the probabilistic voter against odd-k majority."""
+    majority = synthesize_majority(k)
+    return compare_and_crossover(profile, majority, synthesize_probabilistic(profile, k), grid)
 
 
 def test_module_availability_is_complement():
@@ -123,11 +129,11 @@ def test_integer_closed_form_matches_both_oracles(shape, kt, p):
     assert exact == fraction_availability(profile, voter, p)
     assert exact == enumerated_availability(profile, voter, p)
     assert expected_errors(model, 5000) == 5000 * (1 - exact)
-    # the crossover scan reports the same values for both voters it builds
-    point = compare_and_crossover(profile, voter.k, [p], tie_policy=1).points[0]
+    # the crossover scan reports the same values for both voters it is given
     majority = synthesize_majority(voter.k, 1)
-    assert point.majority_availability == fraction_availability(profile, majority, p)
     prob = synthesize_probabilistic(profile, voter.k)
+    point = compare_and_crossover(profile, majority, prob, [p]).points[0]
+    assert point.majority_availability == fraction_availability(profile, majority, p)
     assert point.prob_availability == fraction_availability(profile, prob, p)
 
 
@@ -173,7 +179,7 @@ def test_probability_validation(two_ones):
 def test_crossover_interval_brackets_the_root(two_ones):
     profile = error_profile(two_ones)
     grid = [Fraction(n, 100) for n in (6, 10, 11, 12, 13, 14, 15, 30)]
-    comparison = compare_and_crossover(profile, 3, grid)
+    comparison = _compare(profile, 3, grid)
     assert comparison.crossovers == ((Fraction(12, 100), Fraction(13, 100)),)
     # majority leads below the crossing, the probabilistic voter above
     small = comparison.points[0]
@@ -187,7 +193,7 @@ def test_crossover_interval_brackets_the_root(two_ones):
 def test_crossover_skips_exact_tie_points(two_ones):
     profile = error_profile(two_ones)
     grid = (Fraction(12, 100), Fraction(1, 8), Fraction(13, 100))
-    comparison = compare_and_crossover(profile, 3, grid)
+    comparison = _compare(profile, 3, grid)
     tie = comparison.points[1]
     assert tie.prob_availability == tie.majority_availability
     assert comparison.crossovers == ((Fraction(12, 100), Fraction(13, 100)),)
@@ -196,7 +202,7 @@ def test_crossover_skips_exact_tie_points(two_ones):
 def test_balanced_function_has_no_crossover():
     balanced = ErrorProfile(1, 1, 1)
     grid = [Fraction(n, 10) for n in range(1, 6)]
-    comparison = compare_and_crossover(balanced, 3, grid)
+    comparison = _compare(balanced, 3, grid)
     assert comparison.crossovers == ()
     assert all(
         point.prob_availability == point.majority_availability
@@ -207,8 +213,19 @@ def test_balanced_function_has_no_crossover():
 def test_grid_validation(two_ones):
     profile = error_profile(two_ones)
     with pytest.raises(ValueError):
-        compare_and_crossover(profile, 3, [])
+        _compare(profile, 3, [])
     with pytest.raises(ValueError):
-        compare_and_crossover(profile, 3, [Fraction(1, 2), Fraction(1, 4)])
+        _compare(profile, 3, [Fraction(1, 2), Fraction(1, 4)])
     with pytest.raises(ValueError):
-        compare_and_crossover(profile, 3, [Fraction(1, 4), Fraction(1, 4)])
+        _compare(profile, 3, [Fraction(1, 4), Fraction(1, 4)])
+
+
+def test_crossover_rejects_voters_of_different_k(two_ones):
+    profile = error_profile(two_ones)
+    grid = [Fraction(1, 10)]
+    for majority, prob in (
+        (synthesize_majority(3), synthesize_probabilistic(profile, 5)),
+        (synthesize_majority(4, 1), synthesize_probabilistic(profile, 3)),
+    ):
+        with pytest.raises(ValueError, match="replica count"):
+            compare_and_crossover(profile, majority, prob, grid)

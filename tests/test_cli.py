@@ -10,8 +10,10 @@ import pytest
 
 from probvoter.cli import CSV_HEADER, main
 from probvoter.logic import parse_expression, serialize_table
+from probvoter.voter import VoterTable
 
 from conftest import TWO_ONES_FILE, nested_chain
+from voter_oracle import popcount_table
 
 QUAD_EXPR = "!a&!b&c + a&b&!d"
 
@@ -150,18 +152,15 @@ def test_synth_5mr(capsys):
 
 
 def test_synth_output_reparses_to_the_voter_table(capsys, table_path):
-    from probvoter.logic import parse_expression
-    from probvoter.voter import synthesize_majority
-
     code, out, _ = run(capsys, "synth", "--table", table_path, "-k", "5", "--kind", "majority")
     assert code == 0
     lines = out.splitlines()
-    voter = synthesize_majority(5)
-    assert lines[1] == "".join(map(str, voter.decisions))
+    expected = popcount_table(5, 3)
+    assert lines[1] == "".join(map(str, expected))
     names = tuple(lines[0].split())
     for prefix, line in (("minterm_sop=", lines[3]), ("threshold_sop=", lines[4])):
         expression = line.removeprefix(prefix)
-        assert tuple(parse_expression(expression, names).outputs) == voter.decisions
+        assert parse_expression(expression, names).outputs == expected
 
 
 def test_synth_even_k_majority_needs_tie_policy(capsys, table_path):
@@ -322,6 +321,23 @@ def test_analytic_fine_grid_at_k16_is_unchanged(capsys, table_path, tmp_path):
     )
 
 
+def test_analytic_builds_each_voter_once(capsys, monkeypatch, table_path, tmp_path):
+    built = []
+    check = VoterTable.__post_init__
+
+    def counting(self):
+        built.append((self.k, self.threshold))
+        check(self)
+
+    monkeypatch.setattr(VoterTable, "__post_init__", counting)
+    code, _, _ = run(
+        capsys, "analytic", "--table", table_path, "-k", "4", "--tie-policy", "1",
+        "--out", str(tmp_path / "exact.csv"),
+    )
+    assert code == 0
+    assert built == [(4, 2), (4, 4)]  # majority, then the probabilistic voter
+
+
 def test_analytic_reports_crossover(capsys, table_path, tmp_path):
     out_path = tmp_path / "exact.csv"
     code, out, _ = run(
@@ -425,6 +441,16 @@ def test_plot_rejects_out_of_range_values(capsys, tmp_path, row):
     assert not (tmp_path / "fig.gp").exists()
 
 
+@pytest.mark.parametrize("out", ["", ".", "/"])
+def test_plot_rejects_out_without_file_name(capsys, tmp_path, out):
+    csv_path = tmp_path / "exact.csv"
+    csv_path.write_text(CSV_HEADER + "\n0.1,0.9,0.9,0.9,1,2,100\n")
+    code, stdout, err = run(capsys, "plot", str(csv_path), "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"probvoter: --out {out!r} has no file name\n"
+
+
 def test_plot_missing_csv(capsys, tmp_path):
     code, _, _ = run(capsys, "plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.gp"))
     assert code == 3
@@ -433,6 +459,18 @@ def test_plot_missing_csv(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert main(["simulate"]) == 2  # --out is required
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "option", ["--out", "--expr", "--vars", "-k", "--tie-policy", "--pe", "--trials", "--seed"]
+)
+def test_double_dash_is_not_an_option_value(capsys, tmp_path, option):
+    # "--opt=--" must not reach a command as an empty list
+    argv = ["simulate", "--expr", "a", "--out", str(tmp_path / "x.csv"), f"{option}=--"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[-1].endswith("expected one argument")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_version_flag(capsys):

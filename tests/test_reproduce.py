@@ -1,10 +1,11 @@
 """Golden digests of everything `scripts/reproduce.py` writes.
 
 The digests pin the experiment's outputs byte for byte: a change to any
-table, CSV, gnuplot file or manifest shows up here.  Manifests record the
-absolute output paths, so the output directory is replaced by OUTDIR
-before hashing them.  A deliberate change to an output (or to the package
-version, which every manifest records) means recomputing these.
+table, CSV, gnuplot file, manifest or line of the script's stdout shows up
+here.  Manifests and stdout record the absolute output paths, so the
+output directory is replaced by OUTDIR before hashing them.  A deliberate
+change to an output (or to the package version, which every manifest
+records) means recomputing these.
 """
 
 import hashlib
@@ -41,11 +42,14 @@ GOLDEN = {
     "tmr_two_ones_sim.gp.manifest.json": "b1b880b66826b0819cc1eddbb062cef9876b39a207b509a1a9d0cf0c63acd72d",
 }
 
+# The printed voters, spot checks, crossovers and "wrote" lines.
+STDOUT_GOLDEN = "805a62eb2783b9b4ea2e90791f7b0b8af6b680c0724ff70a7bf0de1a787f8a3d"
+
 
 def test_reproduce_outputs_are_byte_identical(tmp_path):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    subprocess.run(
+    result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reproduce.py"), "--outdir", str(tmp_path)],
         check=True,
         capture_output=True,
@@ -59,3 +63,5 @@ def test_reproduce_outputs_are_byte_identical(tmp_path):
             data = data.replace(str(tmp_path).encode(), OUTDIR)
         digests[path.name] = hashlib.sha256(data).hexdigest()
     assert digests == GOLDEN
+    stdout = result.stdout.replace(str(tmp_path).encode(), OUTDIR)
+    assert hashlib.sha256(stdout).hexdigest() == STDOUT_GOLDEN

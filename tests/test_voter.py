@@ -15,7 +15,6 @@ from probvoter.voter import (
     render_generic_table,
     synthesize_majority,
     synthesize_probabilistic,
-    threshold_of,
 )
 from voter_oracle import (
     INFINITY,
@@ -25,6 +24,7 @@ from voter_oracle import (
     cost_rule_threshold,
     decide,
     minterm_sop,
+    popcount_table,
 )
 
 
@@ -113,22 +113,21 @@ def test_vote_tally_validation():
 
 def test_probabilistic_tmr_is_unanimity(two_ones):
     voter = synthesize_probabilistic(error_profile(two_ones), 3)
-    assert voter.decisions == (0, 0, 0, 0, 0, 0, 0, 1)
-    assert voter.threshold == 3
+    assert voter == VoterTable(3, 3)
+    assert popcount_table(3, voter.threshold) == bytes((0, 0, 0, 0, 0, 0, 0, 1))
 
 
 def test_probabilistic_5mr_threshold(four_ones):
     voter = synthesize_probabilistic(error_profile(four_ones), 5)
     assert voter.threshold == 4
-    accepted = {p for p in range(32) if voter.decisions[p]}
+    accepted = {p for p in range(32) if popcount_table(5, voter.threshold)[p]}
     assert accepted == {0b01111, 0b10111, 0b11011, 0b11101, 0b11110, 0b11111}
 
 
 def test_majority_three():
     voter = synthesize_majority(3)
-    assert voter.decisions == (0, 0, 0, 1, 0, 1, 1, 1)
-    assert voter.threshold == 2
-    assert voter.apply((1, 0, 1)) == 1
+    assert voter == VoterTable(3, 2)
+    assert popcount_table(3, voter.threshold) == bytes((0, 0, 0, 1, 0, 1, 1, 1))
 
 
 def test_majority_odd_thresholds():
@@ -143,8 +142,8 @@ def test_majority_even_needs_tie_policy():
     assert synthesize_majority(4, tie_policy=1).threshold == 2
     assert synthesize_majority(4, tie_policy=0).threshold == 3
     # 2-2 split lands on the chosen symbol
-    assert synthesize_majority(4, tie_policy=1).apply((0, 1, 1, 0)) == 1
-    assert synthesize_majority(4, tie_policy=0).apply((0, 1, 1, 0)) == 0
+    for tie_policy in (0, 1):
+        assert (2 >= synthesize_majority(4, tie_policy).threshold) == tie_policy
 
 
 def test_replica_count_bounds():
@@ -157,45 +156,12 @@ def test_replica_count_bounds():
         synthesize_majority(0)
 
 
-def test_threshold_of_majority():
-    assert threshold_of((0, 0, 0, 1, 0, 1, 1, 1)) == 2
-
-
-@pytest.mark.parametrize(
-    "decisions",
-    [
-        (0, 0, 0, 1, 0, 1, 0, 1),  # popcount-2 patterns disagree
-        (0, 1, 1, 0),  # all-ones decides 0
-        (1, 1, 1, 1),  # all-zeros decides 1
-        (0, 1, 2, 1),
-        (0, 1, 1),  # not a power of two
-        (0,),
-    ],
-)
-def test_threshold_of_rejects_non_threshold_tables(decisions):
-    with pytest.raises(ValueError):
-        threshold_of(decisions)
-
-
 def test_voter_table_construction_checks_consistency():
-    # a table now fixes its own threshold: t=3 here, never a conflicting 2
-    assert VoterTable.from_decisions((0, 0, 0, 0, 0, 0, 0, 1)) == VoterTable(3, 3)
     for k, t in ((3, 0), (3, 4), (0, 1), (17, 1)):
         with pytest.raises(ValueError):
             VoterTable(k, t)
-    with pytest.raises(ValueError):
-        VoterTable.from_decisions((0,) * 8)
-    assert VoterTable.from_decisions((0, 0, 0, 1, 0, 1, 1, 1)) == VoterTable(3, 2)
-
-
-def test_apply_indexes_replica_one_first():
-    voter = VoterTable(3, 3)
-    assert voter.apply((1, 1, 1)) == 1
-    assert voter.apply((1, 1, 0)) == 0
-    with pytest.raises(ValueError):
-        voter.apply((1, 1))
-    with pytest.raises(ValueError):
-        voter.apply((1, 1, 2))
+    assert VoterTable(1, 1).threshold == 1
+    assert VoterTable(16, 16).threshold == 16
 
 
 def test_minterm_sop_of_unanimity(two_ones):
@@ -206,10 +172,7 @@ def test_minterm_sop_of_unanimity(two_ones):
 def test_decisions_are_the_popcount_threshold():
     for k in range(1, 11):
         for t in range(1, k + 1):
-            voter = VoterTable(k, t)
-            expected = tuple(int(p.bit_count() >= t) for p in range(1 << k))
-            assert voter.decisions == expected
-            assert voter.as_table().outputs == bytes(expected)
+            assert VoterTable(k, t).as_table().outputs == popcount_table(k, t)
 
 
 @pytest.mark.parametrize(
@@ -267,7 +230,7 @@ def test_as_table_round_trip():
     voter = synthesize_majority(3)
     table = voter.as_table()
     assert table.variables == ("y1", "y2", "y3")
-    assert tuple(table.outputs) == voter.decisions
+    assert table.outputs == popcount_table(3, 2)
 
 
 # --- properties ---------------------------------------------------------------
@@ -282,10 +245,9 @@ _profiles = st.integers(min_value=1, max_value=6).flatmap(
 @given(_profiles, st.integers(min_value=1, max_value=8))
 def test_synthesis_always_yields_a_threshold(profile, k):
     voter = synthesize_probabilistic(profile, k)
-    # threshold_of re-checks symmetry + monotonicity and re-derives t
-    assert threshold_of(voter.decisions) == voter.threshold
-    assert voter.decisions[0] == 0
-    assert voter.decisions[-1] == 1
+    # 1 <= t <= k: all-zeros decides 0 and all-ones decides 1
+    assert voter.k == k
+    assert 1 <= voter.threshold <= k
 
 
 @given(
@@ -309,7 +271,8 @@ def test_degenerate_profiles_become_and_or(n, k):
 def test_sop_round_trips(profile, k):
     voter = synthesize_probabilistic(profile, k)
     names = tuple(f"y{i}" for i in range(1, k + 1))
-    assert tuple(parse_expression(emit_minterm_sop(voter), names).outputs) == voter.decisions
+    expected = popcount_table(k, voter.threshold)
+    assert parse_expression(emit_minterm_sop(voter), names).outputs == expected
     expression, metrics = emit_threshold_sop(voter)
-    assert tuple(parse_expression(expression, names).outputs) == voter.decisions
+    assert parse_expression(expression, names).outputs == expected
     assert metrics.literals == metrics.terms * voter.threshold

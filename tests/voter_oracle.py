@@ -78,12 +78,17 @@ def cost_rule_threshold(profile: ErrorProfile, k: int) -> int:
     return t
 
 
+def popcount_table(k: int, t: int) -> bytes:
+    """One byte (0 or 1) per replica pattern: 1 iff popcount >= t."""
+    return bytes(int(pattern.bit_count() >= t) for pattern in range(1 << k))
+
+
 def minterm_sop(voter: VoterTable) -> str:
     """The canonical sum of minterms, built one pattern and one literal at a time."""
     names = [f"y{i}" for i in range(1, voter.k + 1)]
     terms = []
     for pattern in range(1 << voter.k):
-        if not voter.decisions[pattern]:
+        if pattern.bit_count() < voter.threshold:
             continue
         literals = []
         for j, name in enumerate(names):
