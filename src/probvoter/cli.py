@@ -416,7 +416,7 @@ plot "{data}" using 1:5 with linespoints lw 2 title "majority voter", \\
 def cmd_plot(args) -> int:
     try:
         text = Path(args.csv).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {args.csv}: {exc}", EXIT_PARSE) from exc
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != CSV_HEADER:

@@ -13,10 +13,13 @@ is mix(s0 + d*GOLDEN mod 2^64).  A cell is therefore evaluated a chunk of
 trials at a time, with one draw per 128-bit lane of a Python int.  Lane j
 of the row integer holds trial j's first state and the replica-r integer
 holds the state r + 1 draws later; the mixer, the flip test and the vote
-thresholds all run lane-wise as whole-integer operations, and `bit_count`
-tallies the lanes.  The only per-trial step left is looking up each
-trial's golden output.  The counts equal those of drawing the stream one
-value at a time, trial after trial (the tests keep that loop as the oracle).
+thresholds all run lane-wise as whole-integer operations.  A kept replica
+carries into bit 64 of its lane, so bits 64-72 count the kept replicas,
+and one `bit_count` per voter tallies the votes that match the golden bit
+at bit 72.  The lane constants are built once per sweep and chunk size.
+The only per-trial step left is looking up each trial's golden output.
+The counts equal those of drawing the stream one value at a time, trial
+after trial (the tests keep that loop as the oracle).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .logic import TruthTable
 from .voter import MAX_REPLICAS, VoterTable
@@ -52,9 +56,6 @@ def _lane_constants(count: int) -> tuple[int, int]:
 
 
 _ONES, _RAMP = _lane_constants(CHUNK)
-_LANES = _ONES * _MASK64
-_LOW53 = _ONES * ((1 << 53) - 1)
-_STEPS = _ONES * _GOLDEN
 
 
 def _mix(z: int, lanes: int = _MASK64) -> int:
@@ -63,11 +64,12 @@ def _mix(z: int, lanes: int = _MASK64) -> int:
     `lanes` holds 2^64 - 1 in each lane; the default treats z as a single
     64-bit value.  Masking each shift keeps bits from crossing into the
     next lane, and lanes 128 bits apart leave room for each 64x64-bit
-    product, so no carry reaches a neighbour either.
+    product, so no carry reaches a neighbour either.  The last shift is
+    unmasked: it leaves the next lane's low bits in bits 97-127 of a lane.
     """
     z = ((z ^ (z >> 30 & lanes)) * 0xBF58476D1CE4E5B9) & lanes
     z = ((z ^ (z >> 27 & lanes)) * 0x94D049BB133111EB) & lanes
-    return z ^ (z >> 31 & lanes)
+    return z ^ z >> 31
 
 
 def rng_next(state: int) -> tuple[int, int]:
@@ -114,8 +116,8 @@ class SimConfig:
         object.__setattr__(
             self, "pe_values", tuple(Fraction(pe) for pe in self.pe_values)
         )
-        # _run_cell counts each trial's unflipped replicas in an 8-bit field
-        # of its lane, which holds only while MAX_REPLICAS < 256.
+        # _run_cell counts each trial's kept replicas in bits 64-71 of its
+        # lane and votes on bit 72, which holds only while MAX_REPLICAS < 256.
         if not 1 <= self.k <= MAX_REPLICAS:
             raise ValueError(
                 f"replica count must be between 1 and {MAX_REPLICAS}, got {self.k}"
@@ -164,54 +166,65 @@ class AvailabilityRecord:
         return self.trials - self.voter_correct[label]
 
 
-def _run_cell(config: SimConfig, index: int, pe: Fraction) -> AvailabilityRecord:
+def _chunk_lanes(config: SimConfig, size: int) -> tuple:
+    """The lane constants of a chunk of `size` trials; no cell changes them."""
+    ones = _ONES & (1 << _LANE_BITS * size) - 1
+    lanes = ones * _MASK64
+    carry = ones << 64
+    thresholds = [voter.threshold for _, voter in config.voters]
+    offsets = (_RAMP & lanes) * ((config.k + 1) * _GOLDEN & _MASK64)
+    row_mask = ones * ((1 << config.function.arity) - 1)
+    # A voter with threshold t is right on a golden-1 trial iff kept >= t
+    # and on a golden-0 trial iff kept >= k - t + 1.  Kept counts (at most
+    # MAX_REPLICAS) sit in bits 64-71, so adding 256 - a carries into bit 72
+    # iff kept >= a.
+    votes = [(carry * (256 - t), carry * (255 - config.k + t)) for t in thresholds]
+    return ones, lanes, offsets, row_mask, ones * _GOLDEN, carry, votes
+
+
+def _run_cell(
+    config: SimConfig, index: int, pe: Fraction, chunks: dict[int, tuple]
+) -> AvailabilityRecord:
     k = config.k
     outputs = config.function.outputs
-    thresholds = [voter.threshold for _, voter in config.voters]
-    counts = [0] * len(thresholds)
+    counts = [0] * len(config.voters)
     module_correct = 0
     first_state = substream_state(config.master_seed, index)
-
-    # Lane constants for a full chunk.  Only `ones` and `lanes` are cut to
-    # a short last chunk: every other constant meets one of them in an `&`
-    # before its extra lanes could reach a count.
-    trial_steps = _RAMP * ((k + 1) * _GOLDEN & _MASK64)
-    row_masks = _ONES * ((1 << config.function.arity) - 1)
-    # A replica keeps its bit iff (draw >> 11) >= cutoff, i.e. iff adding
-    # 2^53 - cutoff to the 53-bit value carries into bit 53.
-    flip_bias = _ONES * ((1 << 53) - flip_cutoff(pe))
-    # A voter with threshold t is right on a golden-1 trial iff kept >= t
-    # and on a golden-0 trial iff kept >= k - t + 1.  `kept` is at most
-    # MAX_REPLICAS, so bit 8 of kept + 256 - a tests kept >= a per lane.
-    vote_biases = [(_ONES * (256 - t), _ONES * (255 - k + t)) for t in thresholds]
+    # A replica keeps its bit iff (draw >> 11) >= cutoff: iff adding 2^64 -
+    # (cutoff << 11) carries into bit 64, under _mix's leftovers at 97-127.
+    bias = (1 << 64) - (flip_cutoff(pe) << 11)
+    flip_biases = {size: chunk[0] * bias for size, chunk in chunks.items()}
 
     for start in range(0, config.trials, CHUNK):
         size = min(CHUNK, config.trials - start)
-        keep = (1 << _LANE_BITS * size) - 1
-        ones, lanes = _ONES & keep, _LANES & keep
+        ones, lanes, offsets, row_mask, steps, carry, votes = chunks[size]
+        flip_bias = flip_biases[size]
         row_state = (first_state + (start * (k + 1) + 1) * _GOLDEN) & _MASK64
-        state = (row_state * ones + trial_steps) & lanes
+        state = (row_state * ones + offsets) & lanes
 
         width = size * _LANE_BYTES
-        rows = (_mix(state, lanes) & row_masks).to_bytes(width, sys.byteorder)
+        rows = (_mix(state, lanes) & row_mask).to_bytes(width, sys.byteorder)
+        golden = itemgetter(*memoryview(rows).cast("Q")[_LOW_WORDS].tolist())(outputs)
+        # Byte 9 of a lane holds bit 72.  itemgetter returns a lone item, not
+        # a 1-tuple, for a single row.
         golden_bytes = bytearray(width)
-        golden_bytes[::_LANE_BYTES] = bytes(
-            map(outputs.__getitem__, memoryview(rows).cast("Q")[_LOW_WORDS].tolist())
-        )
+        golden_bytes[9::_LANE_BYTES] = bytes(golden if size > 1 else (golden,))
         golden = int.from_bytes(golden_bytes, "little")
+        del rows, golden_bytes  # no byte buffer lives through the draws
 
         kept = 0
         for r in range(k):
-            state = (state + _STEPS) & lanes
-            bits = ((_mix(state, lanes) >> 11 & _LOW53) + flip_bias) >> 53 & ones
+            state = (state + steps) & lanes
+            bits = (_mix(state, lanes) + flip_bias) & carry
             if r == 0:
                 module_correct += bits.bit_count()
             kept += bits
 
-        golden_zero = golden ^ ones
-        for i, (one_bias, zero_bias) in enumerate(vote_biases):
-            counts[i] += (golden & ((kept + one_bias) >> 8)).bit_count()
-            counts[i] += (golden_zero & ((kept + zero_bias) >> 8)).bit_count()
+        golden_zero = golden ^ carry << 8
+        for i, (one_bias, zero_bias) in enumerate(votes):
+            counts[i] += (
+                golden & (kept + one_bias) | golden_zero & (kept + zero_bias)
+            ).bit_count()
 
     return AvailabilityRecord(
         pe=pe,
@@ -228,4 +241,7 @@ def run_sweep(config: SimConfig) -> list[AvailabilityRecord]:
     sub-grid of a larger sweep reproduces that sweep's cells only when the
     retained cells keep their original indices.
     """
-    return [_run_cell(config, i, pe) for i, pe in enumerate(config.pe_values)]
+    # Full chunks and the last one: at most two sizes.
+    sizes = {min(CHUNK, config.trials), config.trials % CHUNK} - {0}
+    chunks = {size: _chunk_lanes(config, size) for size in sizes}
+    return [_run_cell(config, i, pe, chunks) for i, pe in enumerate(config.pe_values)]

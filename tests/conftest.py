@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from probvoter.logic import parse_expression, parse_table_file
 
 TWO_ONES_FILE = b"a b c d\n0000000000001010\n"
+
+# The same examples on every run and in every checkout: no random seed and
+# no example database replaying failures found elsewhere.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def nested_chain(n, depth):

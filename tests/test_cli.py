@@ -502,3 +502,26 @@ def test_closed_stdout_ends_quietly():
         proc.stderr.close()
     assert code == 0
     assert err == ""
+
+
+_IMPORT_CLI = """
+import json, sys
+before = set(sys.modules)
+import probvoter.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "outside": sorted(added - set(sys.stdlib_module_names) - {"probvoter"}),
+}))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    # numpy alone would add about 14 MB to every run's resident memory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CLI], capture_output=True, env=env, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"numpy": False, "outside": []}

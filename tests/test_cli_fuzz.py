@@ -1,8 +1,8 @@
 """Fuzzing the CLI's exit-code contract.
 
-Whatever the expression text, table-file bytes, --pe strings, replica count
-or trial count, a run ends with exit code 0, 2 or 3 and never prints a
-traceback.
+Whatever the expression text, table-file bytes, --pe strings, replica count,
+trial count or CSV bytes given to `plot`, a run ends with exit code 0, 2 or
+3 and never prints a traceback.
 """
 
 import contextlib
@@ -10,10 +10,10 @@ import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probvoter.cli import MAX_TRIALS, main
+from probvoter.cli import CSV_HEADER, MAX_TRIALS, main
 
 EXIT_CODES = {0, 2, 3}
 
@@ -79,6 +79,7 @@ def test_table_file_bytes(data):
 
 @settings(deadline=None)
 @given(_PE_STRINGS)
+@example("--")
 def test_pe_strings(pe):
     with tempfile.TemporaryDirectory() as tmp:
         for command in ("simulate", "analytic"):
@@ -131,3 +132,39 @@ def test_sweep_arguments(command, k, tie_policy, pe, data):
             [command, "--expr", "a&b", "-k", str(k), *tie_policy, "--trials", str(trials),
              "--pe=" + pe, "--out", out]
         )
+
+
+_CSV_FIELDS = st.text(alphabet="0123456789.eE+-/naif ", max_size=6)
+# seven fields: pe and three availabilities, then two error counts and trials
+_CSV_ROWS = st.one_of(
+    st.lists(_CSV_FIELDS, min_size=6, max_size=8).map(",".join),
+    st.builds(
+        lambda probabilities, counts: ",".join(probabilities + counts),
+        st.lists(st.sampled_from(["0", "1", "0.25", "1e-3", "1.5", "nan"]), min_size=4, max_size=4),
+        st.lists(st.sampled_from(["0", "7", "2.5", "-1", "inf"]), min_size=3, max_size=3),
+    ),
+)
+_CSV_FILES = st.one_of(
+    st.binary(max_size=64),
+    # the header, then bytes that need not be UTF-8
+    st.builds(
+        lambda body, end: (CSV_HEADER + "\n").encode("utf-8") + body + end,
+        st.binary(max_size=48),
+        _ENDINGS,
+    ),
+    # the header, then text rows
+    st.builds(
+        lambda rows: "\n".join([CSV_HEADER, *rows]).encode("utf-8"),
+        st.lists(_CSV_ROWS, max_size=3),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(_CSV_FILES)
+@example(b"\xff\xfe,\n")
+def test_plot_csv_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        path.write_bytes(data)
+        _check(["plot", str(path), "--out", str(Path(tmp) / "sweep.gp")])

@@ -1,11 +1,13 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probvoter import sim
 from probvoter.logic import TruthTable
 from probvoter.sim import (
     CHUNK,
@@ -294,6 +296,61 @@ def test_packed_cells_match_the_trial_loop_at_twenty_inputs():
         function, 3, voters, (Fraction(1, 10), *_EDGE_PES), CHUNK + 1, 2026
     )
     _assert_matches_oracle(config)
+
+
+@cache
+def _skewed_function(n: int) -> TruthTable:
+    # about one row in eight is a 1, so the cost-based voter is not majority
+    rng = random.Random(n)
+    return TruthTable(
+        tuple(f"x{i}" for i in range(n)),
+        bytes(rng.getrandbits(3) == 0 for _ in range(1 << n)),
+    )
+
+
+_KERNEL_TRIALS = (1, 2, CHUNK - 1, CHUNK + 1, CHUNK + 904)
+_KERNEL_PES = (*_EDGE_PES, Fraction(1, 10))
+
+
+@pytest.mark.parametrize("n", (1, 6, 20))
+@pytest.mark.parametrize("k, tie_policy", ((1, None), (3, None), (16, 0), (16, 1)))
+def test_packed_cells_match_the_trial_loop_on_a_fixed_grid(n, k, tie_policy):
+    # one and two lanes, a chunk less a lane, a one-lane tail and a 904-lane
+    # tail, against the edge flip probabilities, with the lowest and highest
+    # thresholds beside the two synthesized voters
+    function = _skewed_function(n)
+    voters = (
+        ("majority", synthesize_majority(k, tie_policy)),
+        ("prob", synthesize_probabilistic(error_profile(function), k)),
+        ("lowest", VoterTable(k, 1)),
+        ("highest", VoterTable(k, k)),
+    )
+    for seed, trials in enumerate(_KERNEL_TRIALS):
+        _assert_matches_oracle(SimConfig(function, k, voters, _KERNEL_PES, trials, seed))
+
+
+def test_lane_constants_are_built_once_per_chunk_size(monkeypatch, two_ones):
+    built = []
+    build = sim._chunk_lanes
+
+    def counting_build(config, size):
+        built.append(size)
+        return build(config, size)
+
+    monkeypatch.setattr(sim, "_chunk_lanes", counting_build)
+    voters = (("majority", synthesize_majority(3)),)
+    grid = tuple(Fraction(i, 16) for i in range(9))
+    for trials, sizes in (
+        (1, [1]),
+        (CHUNK - 1, [CHUNK - 1]),
+        (CHUNK, [CHUNK]),
+        (3 * CHUNK, [CHUNK]),
+        (2 * CHUNK + 5, [5, CHUNK]),
+    ):
+        built.clear()
+        records = run_sweep(SimConfig(two_ones, 3, voters, grid, trials))
+        assert len(records) == len(grid)
+        assert sorted(built) == sizes, trials
 
 
 def test_cell_memory_does_not_grow_with_trials(two_ones):
