@@ -16,6 +16,7 @@ run quietly with 0.
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .analytic import ComparisonPoint, compare_and_crossover
@@ -88,22 +89,27 @@ def _integer(text: str) -> int:
 
 
 # Python refuses to convert an int of more than sys.get_int_max_str_digits()
-# digits (4,300 by default, never below 640) to text, so longer decimals are
-# converted this many digits at a time.
-_TEXT_CHUNK_DIGITS = 500
-_TEXT_CHUNK = 10**_TEXT_CHUNK_DIGITS
+# digits (4,300 by default, never below 640) to text.  Longer ints are split
+# on a power of two and recombined in exact `decimal` arithmetic, which is
+# subquadratic where int `divmod` by a power of ten is not.
+_TEXT_LIMIT = 10**600
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
 
 def _int_text(n: int) -> str:
     """str(n) for an int n >= 0 of any length."""
-    if n < _TEXT_CHUNK:
+    if n < _TEXT_LIMIT:
         return str(n)
-    chunks = []
-    while n >= _TEXT_CHUNK:
-        n, low = divmod(n, _TEXT_CHUNK)
-        chunks.append(f"{low:0{_TEXT_CHUNK_DIGITS}d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
+    powers = {}
+
+    def convert(n: int) -> decimal.Decimal:
+        if n < _TEXT_LIMIT:
+            return decimal.Decimal(n)
+        half = n.bit_length() >> 1
+        power = powers.get(half) or powers.setdefault(half, _EXACT.power(2, half))
+        return _EXACT.fma(convert(n >> half), power, convert(n & ((1 << half) - 1)))
+
+    return str(convert(n))
 
 
 def _split_ten(den: int) -> tuple[int, int, int]:
@@ -117,32 +123,36 @@ def _split_ten(den: int) -> tuple[int, int, int]:
     return twos, fives, den
 
 
-def _decimal_scale(twos: int, fives: int) -> tuple[int, int]:
-    """(places, m) such that x / (2^twos * 5^fives) = x * m / 10^places."""
-    places = max(twos, fives)
-    return places, (1 << (places - twos)) * 5 ** (places - fives)
+def _decimals(numerators: Iterable[int], twos: int, fives: int, rest: int) -> list[str]:
+    """Each num / (2^twos * 5^fives * rest), num >= 0 and rest prime to 10,
+    as an exact decimal if it has one, else as a float repr.
 
-
-def _decimal(scaled: int, places: int) -> str:
-    """scaled / 10^places, scaled >= 0, as a decimal without trailing zeros.
-
-    Stripping the zeros makes the text that of the reduced fraction, so the
-    denominator 10^places need not be the smallest one.
+    The value is a finite decimal iff rest divides num.  Stripping trailing
+    zeros from num / rest scaled to 10^max(twos, fives) gives the text of the
+    reduced fraction.  Int true division rounds correctly, so the float is
+    the reduced fraction's.
     """
-    if places == 0:
-        return _int_text(scaled)
-    digits = _int_text(scaled).rjust(places + 1, "0")
-    whole, fractional = digits[:-places], digits[-places:].rstrip("0")
-    return whole if not fractional else f"{whole}.{fractional}"
+    places = max(twos, fives)
+    scale = (1 << (places - twos)) * 5 ** (places - fives)
+    texts = []
+    for num in numerators:
+        if rest > 1:
+            if num % rest:
+                texts.append(repr(num / ((rest * 5**fives) << twos)))
+                continue
+            num //= rest
+        digits = _int_text(num * scale)
+        if places:
+            digits = digits.rjust(places + 1, "0")
+            whole, fractional = digits[:-places], digits[-places:].rstrip("0")
+            digits = f"{whole}.{fractional}" if fractional else whole
+        texts.append(digits)
+    return texts
 
 
 def _format_exact(x: Fraction) -> str:
-    """Exact decimal of x >= 0 when its denominator is 2^a * 5^b, else float repr."""
-    twos, fives, rest = _split_ten(x.denominator)
-    if rest != 1:
-        return repr(float(x))
-    places, scale = _decimal_scale(twos, fives)
-    return _decimal(x.numerator * scale, places)
+    """Exact decimal of x >= 0 if it has one, else float repr."""
+    return _decimals((x.numerator,), *_split_ten(x.denominator))[0]
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -347,32 +357,21 @@ def cmd_simulate(args) -> int:
 
 def analytic_row(point: ComparisonPoint, k: int, n: int, trials: int) -> str:
     """One `analytic` CSV row: p, 1 - p, both availabilities and both
-    expected error counts over `trials` inputs, as exact decimals.
-
-    For p = a/d every availability and error count at this point is an
-    integer over D = d^k * 2^n.  When d = 2^x * 5^y, each value is printed
-    from its numerator by integer scaling; otherwise the reduced fraction
-    decides between an exact decimal and a float repr.
+    expected error counts over `trials` inputs.  For p = a/d each is printed
+    by `_decimals` from its integer numerator over d or d^k * 2^n.
     """
-    p, den = point.p, point.denominator
+    a, d, den = point.p.numerator, point.p.denominator, point.denominator
     numerators = (
         point.majority_numerator,
         point.prob_numerator,
         trials * (den - point.majority_numerator),
         trials * (den - point.prob_numerator),
     )
-    twos, fives, rest = _split_ten(p.denominator)
-    if rest == 1:
-        a, d = p.numerator, p.denominator
-        places, scale = _decimal_scale(twos, fives)
-        cells = [_decimal(a * scale, places), _decimal((d - a) * scale, places)]
-        places, scale = _decimal_scale(k * twos + n, k * fives)
-        cells += [_decimal(num * scale, places) for num in numerators]
-    else:
-        cells = [_format_exact(p), _format_exact(1 - p)]
-        cells += [_format_exact(Fraction(num, den)) for num in numerators]
-    cells.append("0")
-    return ",".join(cells)
+    # d^k * 2^n = 2^(ka + n) * 5^(kb) * r^k for d = 2^a * 5^b * r
+    twos, fives, rest = _split_ten(d)
+    cells = _decimals((a, d - a), twos, fives, rest)
+    cells += _decimals(numerators, k * twos + n, k * fives, rest**k)
+    return ",".join([*cells, "0"])
 
 
 def cmd_analytic(args) -> int:

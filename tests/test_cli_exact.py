@@ -2,9 +2,9 @@
 
 `analytic_oracle.analytic_csv` builds the `analytic` CSV one model at a
 time from reduced `Fraction`s; the CLI builds it from integer numerators
-over one shared denominator per grid point.  Decimals too long for Python's
-int-to-str limit are compared through `decimal.Decimal`, which has no such
-limit.
+over one shared denominator per grid point, with no `Fraction` at all.
+Decimals too long for Python's int-to-str limit are compared through
+`decimal.Decimal`, which has no such limit.
 """
 
 import contextlib
@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from analytic_oracle import analytic_csv
-from probvoter import analytic
-from probvoter.analytic import SystemModel, expected_errors, system_availability
-from probvoter.cli import MAX_TRIALS, _int_text, main
+from analytic_oracle import analytic_csv, format_exact
+from probvoter import analytic, cli
+from probvoter.analytic import SystemModel, compare_and_crossover, expected_errors, system_availability
+from probvoter.cli import MAX_TRIALS, _decimals, _int_text, main
 from probvoter.logic import parse_expression, parse_table_file
 from probvoter.voter import error_profile, synthesize_majority, synthesize_probabilistic
 
@@ -65,7 +65,8 @@ _PROBABILITIES = st.one_of(
     st.integers(min_value=1, max_value=16),
     st.sampled_from([0, 1]),
     st.lists(_PROBABILITIES, min_size=1, max_size=6, unique=True).map(sorted),
-    st.sampled_from([0, 1, 7, 5000]),
+    # 3^16 and 7^16 turn error counts over 3^k and 7^k into finite decimals
+    st.sampled_from([0, 1, 7, 5000, 3**16, 7**16]),
 )
 def test_analytic_csv_equals_the_per_model_oracle(tmp_path_factory, table, k, tie_policy, grid, trials):
     n, outputs = table
@@ -102,10 +103,54 @@ def test_analytic_makes_one_binomial_pass_per_grid_point(monkeypatch, tmp_path):
     assert calls == [Fraction(p) for p in grid]
 
 
+@settings(deadline=None, max_examples=400)
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from([1, 3, 7, 9, 999]),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=8),
+    st.data(),
+)
+def test_decimals_equal_the_reduced_fraction_text(twos, fives, rest, k, n, data):
+    # values over d^k * 2^n, as in an analytic row, for d = 2^twos * 5^fives * rest
+    den = (2**twos * 5**fives * rest) ** k << n
+    # num is a multiple of rest^j: a finite decimal iff rest^k divides it
+    factor = rest ** data.draw(st.integers(min_value=0, max_value=k))
+    numerators = data.draw(
+        st.lists(st.integers(min_value=0, max_value=5000 * den // factor), min_size=1, max_size=4)
+    )
+    numerators = [m * factor for m in numerators]
+    texts = _decimals(numerators, k * twos + n, k * fives, rest**k)
+    assert texts == [format_exact(Fraction(m, den)) for m in numerators]
+
+
+def test_analytic_rows_build_no_fraction(monkeypatch):
+    profile = error_profile(parse_expression("a&b&!c"))
+    grid = [Fraction(p) for p in ("0", "0.001", "1/7", "1/3", "0.5", "1")]
+    comparison = compare_and_crossover(
+        profile, synthesize_majority(16, 1), synthesize_probabilistic(profile, 16), grid
+    )
+    expected = analytic_csv(profile, 16, 1, grid, 5000).splitlines()[1:]
+
+    def refuse(*args):
+        raise AssertionError("an analytic row built a Fraction")
+
+    monkeypatch.setattr(cli, "Fraction", refuse)
+    rows = [cli.analytic_row(point, 16, profile.n, 5000) for point in comparison.points]
+    assert rows == expected
+
+
 @pytest.mark.parametrize(
     "n",
-    [0, 7, 10**500 - 1, 10**500, 10**500 + 1, 10**1000, 3**20000, 5**20000 * 7],
-    ids=["0", "7", "10^500-1", "10^500", "10^500+1", "10^1000", "3^20000", "5^20000*7"],
+    [
+        0, 7, 10**500 - 1, 10**500, 10**500 + 1, 10**600 - 1, 10**600, 10**600 + 1,
+        10**1000, 3**20000, 5**20000 * 7, 3**104800 + 1,
+    ],
+    ids=[
+        "0", "7", "10^500-1", "10^500", "10^500+1", "10^600-1", "10^600", "10^600+1",
+        "10^1000", "3^20000", "5^20000*7", "3^104800+1",
+    ],
 )
 def test_int_text_is_exact_at_any_length(n):
     assert _int_text(n) == str(Decimal(n))
