@@ -266,8 +266,9 @@ def cmd_synth(args) -> int:
             voter = synthesize_majority(k, args.tie_policy)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
-    print(" ".join(f"y{i}" for i in range(1, k + 1)))
-    print(output_line(voter.as_table()))
+    decisions = voter.as_table()
+    print(" ".join(decisions.variables))
+    print(output_line(decisions))
     print(f"t={voter.threshold}")
     print(f"minterm_sop={emit_minterm_sop(voter)}")
     expression, metrics = emit_threshold_sop(voter)
@@ -340,9 +341,9 @@ def cmd_simulate(args) -> int:
         ",".join(
             (
                 _format_exact(rec.pe),
-                repr(float(rec.module_availability)),
-                repr(float(rec.availability("majority"))),
-                repr(float(rec.availability("prob"))),
+                repr(rec.module_correct / rec.trials),
+                repr(rec.voter_correct["majority"] / rec.trials),
+                repr(rec.voter_correct["prob"] / rec.trials),
                 str(rec.errors("majority")),
                 str(rec.errors("prob")),
                 str(rec.trials),
@@ -414,7 +415,8 @@ plot "{data}" using 1:5 with linespoints lw 2 title "majority voter", \\
 
 def cmd_plot(args) -> int:
     try:
-        text = Path(args.csv).read_text(encoding="utf-8")
+        data = Path(args.csv).read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {args.csv}: {exc}", EXIT_PARSE) from exc
     lines = [line for line in text.splitlines() if line.strip()]
@@ -451,13 +453,12 @@ def cmd_plot(args) -> int:
     _write_text(str(data_path), "\n".join(data_lines) + "\n")
     script = _PLOT_SCRIPT.format(script=out.name, stem=out.stem, data=data_path.name)
     _write_text(str(out), script)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     _write_manifest(
         str(out),
         {
             "command": "plot",
             "csv": str(args.csv),
-            "csv_sha256": digest,
+            "csv_sha256": hashlib.sha256(data).hexdigest(),
             "out": str(args.out),
         },
     )

@@ -113,17 +113,16 @@ class TruthTable:
 #   factor := ("!" | "~") factor | atom
 #   atom   := name | "0" | "1" | "(" expr ")"
 #
-# The parser compiles to postfix code and `_eval_mask` runs it on a value
-# stack; neither recurses, so chain length and nesting depth cost memory,
-# not interpreter stack, and `parse_expression` bounds that memory.
+# The parser compiles to postfix code by precedence folding ("or" binds
+# with strength 1, "and" with 2) and `_eval_mask` runs it on a value stack;
+# neither recurses, so chain length and nesting depth cost memory, not
+# interpreter stack, and `parse_expression` bounds that memory.
 
-_OR_OPS = frozenset("+|")
-_AND_OPS = frozenset("&*.")
+_BINDS = {"+": 1, "|": 1, "&": 2, "*": 2, ".": 2}
 _NOT_OPS = frozenset("!~")
 
 _NOT = ("not",)
-_AND = ("and",)
-_OR = ("or",)
+_FOLDS = {1: ("or",), 2: ("and",)}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -144,23 +143,21 @@ def _compile(text: str) -> tuple[list[tuple], dict[str, int], int, int]:
     value stack's maximum depth and the position of the operand that first
     reaches it.
 
-    Every "and"/"or" step folds the top two stack values as soon as its
-    right operand is complete, so an n-ary chain holds at most two values
-    per open parenthesis.  A run of negations compiles to its parity.
+    Operators of equal strength fold left to right as soon as the next one
+    arrives, so an n-ary chain holds at most two values per open
+    parenthesis.  A run of negations compiles to its parity.
     """
     tokens = _tokenize(text)
     end = len(tokens)
     code: list[tuple] = []
     seen: dict[str, int] = {}
-    # One frame per open parenthesis, the outermost for the whole text:
-    # [negate the group, a finished term is on the stack,
-    #  a finished factor of the current term is on the stack]
-    frames = [[False, False, False]]
+    pending: list[int] = []  # strengths of operators waiting for their fold
+    groups: list[tuple[bool, list[int]]] = []  # (negated, enclosing pending)
     depth = max_depth = deepest_at = 0
     i = 0
     while True:
         negate = False
-        while i < end and tokens[i][0] == "op" and tokens[i][1] in _NOT_OPS:
+        while i < end and tokens[i][1] in _NOT_OPS:
             negate = not negate
             i += 1
         if i == end:
@@ -173,7 +170,8 @@ def _compile(text: str) -> tuple[list[tuple], dict[str, int], int, int]:
         elif kind == "const":
             code.append(("const", int(value)))
         elif value == "(":
-            frames.append([negate, False, False])
+            groups.append((negate, pending))
+            pending = []
             continue
         else:
             raise ExpressionError(f"unexpected {value!r}", at)
@@ -182,31 +180,26 @@ def _compile(text: str) -> tuple[list[tuple], dict[str, int], int, int]:
             max_depth, deepest_at = depth, at
         if negate:
             code.append(_NOT)
-        # A factor is complete: fold it into its term, then close every
-        # group that ends here, until an operator asks for the next operand.
+        # An operand is complete: fold what binds at least as tightly as the
+        # next token and close every group that ends here, up to a binary operator.
         while True:
-            frame = frames[-1]
-            if frame[2]:
-                code.append(_AND)
+            value = tokens[i][1] if i < end else None
+            binds = _BINDS.get(value, 0)
+            while pending and pending[-1] >= binds:
+                code.append(_FOLDS[pending.pop()])
                 depth -= 1
-            frame[2] = True
-            op = tokens[i][1] if i < end and tokens[i][0] == "op" else None
-            if op in _AND_OPS:
+            if binds:
+                pending.append(binds)
                 break
-            if frame[1]:
-                code.append(_OR)
-                depth -= 1
-            frame[1], frame[2] = True, False
-            if op in _OR_OPS:
-                break
-            if len(frames) == 1:
+            if not groups:
                 if i < end:
-                    raise ExpressionError(f"unexpected {tokens[i][1]!r}", tokens[i][2])
+                    raise ExpressionError(f"unexpected {value!r}", tokens[i][2])
                 return code, seen, max_depth, deepest_at
-            if op != ")":
+            if value != ")":
                 raise ExpressionError("expected ')'", tokens[i][2] if i < end else len(text))
             i += 1
-            if frames.pop()[0]:
+            negated, pending = groups.pop()
+            if negated:
                 code.append(_NOT)
         i += 1
 

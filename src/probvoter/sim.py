@@ -17,14 +17,15 @@ thresholds all run lane-wise as whole-integer operations.  A kept replica
 carries into bit 64 of its lane, so bits 64-72 count the kept replicas,
 and one `bit_count` per voter tallies the votes that match the golden bit
 at bit 72.  The lane constants are built once per sweep and chunk size.
-The only per-trial step left is looking up each trial's golden output.
+The only per-trial step left is looking up each trial's golden output; one
+explicit little-endian `struct` layout reads every lane's row index.
 The counts equal those of drawing the stream one value at a time, trial
 after trial (the tests keep that loop as the oracle).
 """
 
 from __future__ import annotations
 
-import sys
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -40,9 +41,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 CHUNK = 4096
 _LANE_BITS = 128
 _LANE_BYTES = _LANE_BITS // 8
-# The low 64-bit word of every lane, in lane order, when a packed integer
-# is written out in the machine's byte order and cast to native words.
-_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
 def _lane_constants(count: int) -> tuple[int, int]:
@@ -179,7 +177,9 @@ def _chunk_lanes(config: SimConfig, size: int) -> tuple:
     # MAX_REPLICAS) sit in bits 64-71, so adding 256 - a carries into bit 72
     # iff kept >= a.
     votes = [(carry * (256 - t), carry * (255 - config.k + t)) for t in thresholds]
-    return ones, lanes, offsets, row_mask, ones * _GOLDEN, carry, votes
+    # Each lane's low 64-bit word, in lane order, of a little-endian row integer.
+    low_words = struct.Struct("<" + "Q8x" * size)
+    return ones, lanes, offsets, row_mask, ones * _GOLDEN, carry, votes, low_words
 
 
 def _run_cell(
@@ -193,18 +193,17 @@ def _run_cell(
     # A replica keeps its bit iff (draw >> 11) >= cutoff: iff adding 2^64 -
     # (cutoff << 11) carries into bit 64, under _mix's leftovers at 97-127.
     bias = (1 << 64) - (flip_cutoff(pe) << 11)
-    flip_biases = {size: chunk[0] * bias for size, chunk in chunks.items()}
 
     for start in range(0, config.trials, CHUNK):
         size = min(CHUNK, config.trials - start)
-        ones, lanes, offsets, row_mask, steps, carry, votes = chunks[size]
-        flip_bias = flip_biases[size]
+        ones, lanes, offsets, row_mask, steps, carry, votes, low_words = chunks[size]
+        flip_bias = ones * bias
         row_state = (first_state + (start * (k + 1) + 1) * _GOLDEN) & _MASK64
         state = (row_state * ones + offsets) & lanes
 
         width = size * _LANE_BYTES
-        rows = (_mix(state, lanes) & row_mask).to_bytes(width, sys.byteorder)
-        golden = itemgetter(*memoryview(rows).cast("Q")[_LOW_WORDS].tolist())(outputs)
+        rows = (_mix(state, lanes) & row_mask).to_bytes(width, "little")
+        golden = itemgetter(*low_words.unpack(rows))(outputs)
         # Byte 9 of a lane holds bit 72.  itemgetter returns a lone item, not
         # a 1-tuple, for a single row.
         golden_bytes = bytearray(width)

@@ -208,14 +208,14 @@ def render_generic_table(k: int) -> str:
     """Symbolic decision table for k replicas, before an error profile is known.
 
     Costs are shown as expressions in the symbol error rates E0 and E1; rows
-    whose outcome depends on the profile are marked X.
+    whose outcome depends on the profile are marked X.  A row's costs and
+    outcome depend only on its popcount, so they are built once per count.
     """
     if not 1 <= k <= MAX_REPLICAS:
         raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {k}")
-    header = [f"y{i}" for i in range(1, k + 1)] + ["C0", "C1", "y"]
-    rows = [header]
-    for pattern in range(1 << k):
-        ones = pattern.bit_count()
+    header = [*_replica_names(k, None), "C0", "C1", "y"]
+    tails = []
+    for ones in range(k + 1):
         zeros = k - ones
         c0 = "inf" if zeros == 0 else ("E0" if zeros == 1 else f"E0/{zeros}")
         c1 = "inf" if ones == 0 else ("E1" if ones == 1 else f"E1/{ones}")
@@ -225,9 +225,13 @@ def render_generic_table(k: int) -> str:
             y = "1"
         else:
             y = "X"
-        bits = [str((pattern >> (k - 1 - j)) & 1) for j in range(k)]
-        rows.append(bits + [c0, c1, y])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+        tails.append([c0, c1, y])
+    # A bit is one character, never wider than its replica's name.
+    widths = [len(name) for name in header[:k]]
+    widths += [max(len(row[i]) for row in [header[k:], *tails]) for i in range(3)]
+    rows = [header]
+    for pattern in range(1 << k):
+        rows.append([*format(pattern, f"0{k}b"), *tails[pattern.bit_count()]])
     return "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
     )

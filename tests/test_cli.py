@@ -10,6 +10,7 @@ import pytest
 
 from probvoter.cli import CSV_HEADER, main
 from probvoter.logic import parse_expression, serialize_table
+from probvoter.sim import AvailabilityRecord
 from probvoter.voter import VoterTable
 
 from conftest import TWO_ONES_FILE, nested_chain
@@ -247,6 +248,27 @@ def test_simulate_is_deterministic_and_seed_sensitive(capsys, table_path, tmp_pa
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_simulate_prints_availability_from_integer_counts(
+    capsys, monkeypatch, table_path, tmp_path
+):
+    def refuse(*args):
+        raise AssertionError("simulate built an availability Fraction")
+
+    monkeypatch.setattr(AvailabilityRecord, "availability", refuse)
+    monkeypatch.setattr(AvailabilityRecord, "module_availability", property(refuse))
+    out_path = tmp_path / "sim.csv"
+    code, _, _ = run(
+        capsys, "simulate", "--table", table_path, "-k", "5", "--pe", "0,0.001,1/3,0.1,0.5,1",
+        "--trials", "4999", "--seed", "7", "--out", str(out_path),
+    )
+    assert code == 0
+    # count / trials is the same correctly rounded float as
+    # float(Fraction(count, trials)), so the CSV is pinned byte for byte
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "71624f2188a708fc0efed1d01bcd9b928ca3e99094299c86be882e20f5f660c8"
+    )
+
+
 def test_simulate_manifest_reproduces_output(capsys, table_path, tmp_path):
     first = tmp_path / "first.csv"
     run(
@@ -396,6 +418,21 @@ def test_plot_emits_script_and_data(capsys, table_path, tmp_path):
     manifest = json.loads((tmp_path / "fig.gp.manifest.json").read_text())
     assert manifest["command"] == "plot"
     assert len(manifest["csv_sha256"]) == 64
+
+
+def test_plot_manifest_records_the_csv_file_digest(capsys, table_path, tmp_path):
+    lf = tmp_path / "lf.csv"
+    run(capsys, "simulate", "--table", table_path, "--pe", "0.1,0.5", "--trials", "100",
+        "--out", str(lf))
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for csv_path in (lf, crlf):
+        script_path = tmp_path / f"{csv_path.stem}.gp"
+        code, _, _ = run(capsys, "plot", str(csv_path), "--out", str(script_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / f"{csv_path.stem}.gp.manifest.json").read_text())
+        assert manifest["csv_sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert (tmp_path / "lf.dat").read_bytes() == (tmp_path / "crlf.dat").read_bytes()
 
 
 def test_plot_accepts_analytic_output(capsys, table_path, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -217,17 +218,29 @@ _EXPR_TEXT = st.text(alphabet="abcx01!~&*.+|() ", max_size=40)
 
 
 
-@given(_EXPR_TEXT)
-def test_compiler_matches_recursive_oracle(text):
+def _assert_matches_oracle(text, variables=None):
+    """Same table, or same error message and position, as the recursive oracle."""
     try:
-        expected = logic_oracle.parse_expression(text, ("a", "b", "c"))
+        expected = logic_oracle.parse_expression(text, variables)
     except ExpressionError as exc:
         with pytest.raises(ExpressionError) as err:
-            parse_expression(text, ("a", "b", "c"))
-        assert str(err.value) == str(exc)
-        assert err.value.position == exc.position
+            parse_expression(text, variables)
+        assert str(err.value) == str(exc), text
+        assert err.value.position == exc.position, text
     else:
-        assert parse_expression(text, ("a", "b", "c")) == expected
+        assert parse_expression(text, variables) == expected, text
+
+
+@given(_EXPR_TEXT)
+def test_compiler_matches_recursive_oracle(text):
+    _assert_matches_oracle(text, ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_compiler_matches_recursive_oracle_on_every_short_string(length):
+    # all 6^length strings over one name, both operators, "!" and parentheses
+    for chars in itertools.product("a!&+()", repeat=length):
+        _assert_matches_oracle("".join(chars))
 
 
 def test_evaluate_and_index(two_ones):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,34 @@ def test_generic_table_marks_contested_rows():
     assert lines[1].endswith("0")  # all-zeros row is settled
     assert lines[-1].endswith("1")  # all-ones row is settled
     assert sum(line.endswith("X") for line in lines[1:]) == 6
+
+
+# sha256 of render_generic_table(k): every row, cost and column width of the
+# table is pinned byte for byte for every k
+_GENERIC_TABLE_SHA256 = {
+    1: "9b20613793a39bfd30ba4b9a59efe0c4834426d08f0aeac7a649f044964116d5",
+    2: "a8186ac876370e9e70e740bce1eb94b07bc4ea7cc48919aceb64f6d400201fa0",
+    3: "582e0dc0d3a68c4376db620ddee42cc0466858aa27eb66b41b8361752993817e",
+    4: "3042897d34c5d084a071914931e509dd4bd146928e5d6e7a88b3894a7448893a",
+    5: "58684942c7fa695a65af887370b3f368a63bb674960ce29fff512755126c05e8",
+    6: "62b1d975120fbd8a11784673660d0e83cfac010d39d95730bf47395e15937a5f",
+    7: "fa7ebe2742fbec8b9755e6155448278f4143083e273e045b45fb416b520213ee",
+    8: "5800dd15bf4bac6a97c81bdd219e5e8f82f0b850449d22e3ce8eb7dfe643b28c",
+    9: "5fcdb944ec416fb614e68d05423dbf049b2d13cf73f3e1f82140f31336c9c60a",
+    10: "db2c7f5d9497ef8a98dd0bc7c2829c6282fff11549ba158fdb4fa7256a7bf64c",
+    11: "58d2d2ffd0cff7667394357afd66250c936e57ae30abdde7d1ae82344451aaa7",
+    12: "b9effaf83315c2a616c109ea0828aced85663fb0a30527e7b5f4c8f3632b7915",
+    13: "32f157f25277eed25dc80f5848bff80b5247fcbb80f33f56168c4a07b19982b5",
+    14: "1012a2ceabdfce1c6f0cee55f8da5d75024d13081461f275f5192a2a82ddeb1d",
+    15: "2d4aabbe7a730f996359dce05a5f3aef8a5fa9ee52b73bc4f8721666e7ccf837",
+    16: "8bad8d234bde8509916d0f692a834c489f9ed99d147e0682ca0ab38dc6f6ffa3",
+}
+
+
+@pytest.mark.parametrize("k", sorted(_GENERIC_TABLE_SHA256))
+def test_generic_table_is_unchanged(k):
+    text = render_generic_table(k)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GENERIC_TABLE_SHA256[k]
 
 
 def test_as_table_round_trip():
