@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -63,6 +64,12 @@ def module_availability(p) -> Fraction:
     return 1 - _as_probability(p)
 
 
+@cache
+def _binomial_row(k: int) -> tuple[int, ...]:
+    """C(k, j) for j = 0..k; k is a validated replica count, so at most 16 rows."""
+    return tuple(comb(k, j) for j in range(k + 1))
+
+
 def _cdf_numerators(k: int, p: Fraction) -> list[int]:
     """S[m] = d^k * P[Binomial(k, p) <= m] for m = 0..k, where p = a/d."""
     a, d = p.numerator, p.denominator
@@ -73,8 +80,8 @@ def _cdf_numerators(k: int, p: Fraction) -> list[int]:
     sums = []
     total = 0
     a_power = 1
-    for j in range(k + 1):
-        total += comb(k, j) * a_power * b_powers[k - j]
+    for binomial, b_power in zip(_binomial_row(k), reversed(b_powers)):
+        total += binomial * a_power * b_power
         sums.append(total)
         a_power *= a
     return sums

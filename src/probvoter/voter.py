@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .logic import MAX_ARITY, TruthTable
@@ -159,19 +160,21 @@ def _replica_names(k: int, names: Sequence[str] | None) -> tuple[str, ...]:
     return names
 
 
-def _literal_strings(names: Sequence[str]) -> list[tuple[str, int]]:
-    """For each pattern over `names` (first name = MSB): "&lit&lit..." and its popcount."""
-    width = len(names)
-    return [
-        (
-            "".join(
-                "&" + name if pattern >> (width - 1 - j) & 1 else "&!" + name
-                for j, name in enumerate(names)
-            ),
-            pattern.bit_count(),
-        )
-        for pattern in range(1 << width)
-    ]
+def _pattern_texts(bits: Sequence[tuple[str, str]]) -> list[tuple[str, int]]:
+    """For each pattern over len(bits) positions, ascending: its text and popcount.
+
+    Position j (the first is the MSB) writes bits[j][0] for a 0 and bits[j][1]
+    for a 1.  Built by doubling: appending a position after pattern p gives
+    2p (its 0 text) then 2p + 1 (its 1 text).
+    """
+    patterns = [("", 0)]
+    for zero, one in bits:
+        patterns = [
+            entry
+            for text, ones in patterns
+            for entry in ((text + zero, ones), (text + one, ones + 1))
+        ]
+    return patterns
 
 
 def emit_minterm_sop(voter: VoterTable, names: Sequence[str] | None = None) -> str:
@@ -180,16 +183,22 @@ def emit_minterm_sop(voter: VoterTable, names: Sequence[str] | None = None) -> s
     A term is the literal string of the pattern's high ceil(k/2) bits joined
     to that of its low floor(k/2) bits, each from a table of at most 256
     strings; a high half with h ones takes every low half with >= t-h ones.
+    Each high half's terms are one join, `head + (" + " + head).join(lows)`;
+    a high half that takes no low half writes no block at all.
     """
     names = _replica_names(voter.k, names)
     split = (voter.k + 1) // 2
     t = voter.threshold
-    low = _literal_strings(names[split:])
+    literals = [("&!" + name, "&" + name) for name in names]
+    low = _pattern_texts(literals[split:])
     low_at_least = [[text for text, ones in low if ones >= count] for count in range(t + 1)]
-    terms: list[str] = []
-    for high_text, high_ones in _literal_strings(names[:split]):
-        terms.extend(map(high_text[1:].__add__, low_at_least[max(t - high_ones, 0)]))
-    return " + ".join(terms)
+    blocks = []
+    for high_text, high_ones in _pattern_texts(literals[:split]):
+        lows = low_at_least[max(t - high_ones, 0)]
+        if lows:
+            head = high_text[1:]
+            blocks.append(head + (" + " + head).join(lows))
+    return " + ".join(blocks)
 
 
 def emit_threshold_sop(
@@ -200,8 +209,9 @@ def emit_threshold_sop(
     Returns the expression and its size (C(k, t) terms of t literals each).
     """
     names = _replica_names(voter.k, names)
-    terms = ["&".join(subset) for subset in combinations(names, voter.threshold)]
-    return " + ".join(terms), SopMetrics(len(terms), voter.threshold * len(terms))
+    t = voter.threshold
+    terms = comb(voter.k, t)
+    return " + ".join(map("&".join, combinations(names, t))), SopMetrics(terms, t * terms)
 
 
 def render_generic_table(k: int) -> str:
@@ -210,10 +220,12 @@ def render_generic_table(k: int) -> str:
     Costs are shown as expressions in the symbol error rates E0 and E1; rows
     whose outcome depends on the profile are marked X.  A row's costs and
     outcome depend only on its popcount, so they are built once per count.
+    A row is its padded high-half bits, its padded low-half bits and its
+    popcount's tail, each from a table built once.
     """
     if not 1 <= k <= MAX_REPLICAS:
         raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {k}")
-    header = [*_replica_names(k, None), "C0", "C1", "y"]
+    names = _replica_names(k, None)
     tails = []
     for ones in range(k + 1):
         zeros = k - ones
@@ -225,13 +237,20 @@ def render_generic_table(k: int) -> str:
             y = "1"
         else:
             y = "X"
-        tails.append([c0, c1, y])
+        tails.append((c0, c1, y))
+    header = ("C0", "C1", "y")
+    widths = [max(len(row[i]) for row in [header, *tails]) for i in range(3)]
+
+    def cells(row: Sequence[str]) -> str:
+        # y, the last cell, is never blank, so this strips only its padding
+        return "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+
+    tail_texts = [cells(tail) for tail in tails]
+    split = (k + 1) // 2
     # A bit is one character, never wider than its replica's name.
-    widths = [len(name) for name in header[:k]]
-    widths += [max(len(row[i]) for row in [header[k:], *tails]) for i in range(3)]
-    rows = [header]
-    for pattern in range(1 << k):
-        rows.append([*format(pattern, f"0{k}b"), *tails[pattern.bit_count()]])
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
-    )
+    bits = [("0".ljust(len(name)) + "  ", "1".ljust(len(name)) + "  ") for name in names]
+    low = _pattern_texts(bits[split:])
+    lines = ["".join(name + "  " for name in names) + cells(header)]
+    for high_text, high_ones in _pattern_texts(bits[:split]):
+        lines.extend(high_text + text + tail_texts[high_ones + ones] for text, ones in low)
+    return "\n".join(lines)

@@ -189,6 +189,23 @@ def test_synth_dump_generic(capsys, table_path):
     assert any(line.endswith("X") for line in out.splitlines())
 
 
+# sha256 of `synth -k 16 --expr a ... --dump-generic` stdout (8.6 MB for
+# t=8, 7.8 MB for t=9).  `--expr a` is balanced, so the probabilistic voter
+# is t=8, the same voter as majority with ties to 1: the two digests agree.
+_SYNTH_K16_SHA256 = {
+    ("--kind", "prob"): "abf931f550c4f67375cbd4c796ffee170d3b7089a968e7ce1655fa41e7d33acf",
+    ("--kind", "majority", "--tie-policy", "0"): "3b9ad488ba4a127b8240b526d58cdf85a7451ba1a3ea0208acfce8e458ba60ea",
+    ("--kind", "majority", "--tie-policy", "1"): "abf931f550c4f67375cbd4c796ffee170d3b7089a968e7ce1655fa41e7d33acf",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SYNTH_K16_SHA256))
+def test_synth_k16_output_is_unchanged(capsys, kind):
+    code, out, _ = run(capsys, "synth", "-k", "16", "--expr", "a", *kind, "--dump-generic")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SYNTH_K16_SHA256[kind]
+
+
 def test_simulate_default_grid(capsys, table_path, tmp_path):
     out_path = tmp_path / "res.csv"
     code, out, _ = run(capsys, "simulate", "--table", table_path, "--out", str(out_path))

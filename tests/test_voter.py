@@ -179,11 +179,118 @@ def test_decisions_are_the_popcount_threshold():
 @pytest.mark.parametrize(
     "k, t",
     [(k, t) for k in range(1, 13) for t in range(1, k + 1)]
-    + [(k, t) for k in range(13, 17) for t in (1, k // 2, k)],
+    + [(k, t) for k in range(13, 17) for t in (1, k // 2, k - 1, k)],
 )
 def test_minterm_sop_equals_the_literal_loop(k, t):
     voter = VoterTable(k, t)
     assert emit_minterm_sop(voter) == minterm_sop(voter)
+
+
+def _sop_digests(voter: VoterTable, names=None) -> tuple[str, str]:
+    """sha256 of the minterm SOP, and of the threshold SOP with its metrics."""
+    expression, metrics = emit_threshold_sop(voter, names)
+    return (
+        hashlib.sha256(emit_minterm_sop(voter, names).encode()).hexdigest(),
+        hashlib.sha256(f"{expression}\n{metrics.terms} {metrics.literals}".encode()).hexdigest(),
+    )
+
+
+# For each k: sha256 over t = 1..k of each emitter's `_sop_digests` entry,
+# one per line, so every byte of both SOPs is pinned for every (k, t)
+_SOP_SHA256 = {
+    1: (
+        "b7dbe39d88f2123db04ce4383f15bbb97b7122cee9611c6106932dba79d829d5",
+        "66cde16c3bce3f0ae79d3904c7e42dee229e0f9f7d5af0a1601593e4b06f8581",
+    ),
+    2: (
+        "34d3ba628e46c676d6ab0fc0b88a370f252f8749518f41b8661657025bb03054",
+        "e5b9e20efbefcef8d76216cac10c4696722a360688a271a9278491f807875a1f",
+    ),
+    3: (
+        "0fb90c6d5e058a195eb928b54b48bbbd6e99e2296bf1d5fd0e7174a00fab9100",
+        "6b5deb4ae220feb6968e3f517ceb78a23dae8512923e2453aa0990eda793fa8e",
+    ),
+    4: (
+        "d77d11f23ae51287eeae055a1fad9b07bd81a4ffc28a75ffbe186e45b79380e0",
+        "7850f656385e5db4d03aad059a0ba32da15c773fed90985a30c3579635c5bc28",
+    ),
+    5: (
+        "709c63533d5a707c6358ba93845db49ba95bbb782f473734d0a02da4735cf610",
+        "01274d0af576b0179333726aa400a40e95ac491204abdb08473893e5f4a74fe9",
+    ),
+    6: (
+        "6caa6c59ee0bd93d15b53d3d2890717b766249b4ea5dae0c8c9aec1bed697833",
+        "300b5a16880f9489467dc13a88d1966ff03fa588891484483177cfd9ba14d700",
+    ),
+    7: (
+        "9ef43f111c909804eeaf1ac76f0a1ad2f84f674119b5fc26d84dc126a7570c8f",
+        "535e48a4b0cc27a04a592485c3e7f16c3a15fd7b72ee63ec6463d59cf6944c80",
+    ),
+    8: (
+        "f1bb994a56bad2cf75e8ac854b92b8d28748c896b44120c7923560e6108cfc25",
+        "6b67f8fafe5aa5fa65df546b4656eb9d429276e781824b48d70e415ec4ba1364",
+    ),
+    9: (
+        "ffb75061ef22cd3bdc7b32bcff48668d6cf4d362cb92c08cda1496fe6146867d",
+        "d2b5843f759c6bc38775468a069a900f91e4a08116fdff013b88d9ff99101124",
+    ),
+    10: (
+        "7fbea34ae7f3d273086b8b2169c36c057c7ab65cb90042ac2e851de0c2ab5314",
+        "0004a86c889a7b55908ab9b0c3fa7d5c7e8adf2d91ce5b7c6234c5fc305295a7",
+    ),
+    11: (
+        "316efd805d0d300e4b20792167e0ed56e95e4f0c25eb05e0fc47a45cdc70f415",
+        "cb770975c70b0525676d221952e3dfb68496e044ed8cb1bf0a8f8f354151b1b5",
+    ),
+    12: (
+        "ed858897fb547fdc753c1f08fd003c847c9bb1b43832beb8193d37e09f203023",
+        "059ab35a5336a884bf8f2bc18cf10042083406b62685c409cff7af16d766b421",
+    ),
+    13: (
+        "872b89d0f1cc652340f1871bbe17279f935a95509ac25242633c5d712df71b84",
+        "f6908775f77ea34a014560c370f42201acab5d2e02ea61cd5f33964fc58f9b68",
+    ),
+    14: (
+        "ee125f3eb1c3b04acd552522ce4ae7b4d918a06925834ffbf570f8cc68b0e708",
+        "7f14ca8f7a45fc5c1e05b872e260efc8eb2a067970c838057ebafeb95023a536",
+    ),
+    15: (
+        "6e94ad2b7fce07654f16fc24a865a7b6828a1e2f72bc7b5afa34674477c943ae",
+        "15da8fb732117ece7fd3613448f4c609dacea4cea0249fc07dc2943ce11d8c62",
+    ),
+    16: (
+        "b6c8938d4a38ce6c1667c6679f3d5c4e160cd16e6c154a1ddd1e963a57c28e94",
+        "286c6a5388700e5dc7913cf7f6a4a0b36098e1c918ff277344badf3e33f48dd4",
+    ),
+}
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_sop_text_is_unchanged(k):
+    minterm, threshold = hashlib.sha256(), hashlib.sha256()
+    for t in range(1, k + 1):
+        minterm_digest, threshold_digest = _sop_digests(VoterTable(k, t))
+        minterm.update(f"{minterm_digest}\n".encode())
+        threshold.update(f"{threshold_digest}\n".encode())
+    assert (minterm.hexdigest(), threshold.hexdigest()) == _SOP_SHA256[k]
+
+
+def test_sop_text_with_custom_names_is_unchanged():
+    names = ("a", "bb", "c_3", "D", "e5e", "f", "gg", "h0", "i", "jjjj", "k", "L", "m_", "n", "o1", "p")
+    assert _sop_digests(VoterTable(16, 8), names) == (
+        "5202620374dcd979b7e43adb11e3e6ee05b9372848beb3e95e38edaf3b4dcfc6",
+        "9c72b4d413820d264cf026517dfc68fe7370994000a02b1d0328749e7e2436cd",
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_sop_of_unanimity_is_one_term(k):
+    # t = k: every high half but the all-ones one takes no low half, and at
+    # k = 1 the low half is empty; neither may leave a bare head or a " + "
+    voter = VoterTable(k, k)
+    names = tuple(f"y{i}" for i in range(1, k + 1))
+    assert emit_minterm_sop(voter) == minterm_sop(voter) == "&".join(names)
+    assert emit_threshold_sop(voter) == ("&".join(names), SopMetrics(terms=1, literals=k))
 
 
 def test_minterm_sop_of_majority():
