@@ -21,7 +21,7 @@ from pathlib import Path
 from probvoter.analytic import SystemModel, compare_and_crossover, system_availability
 from probvoter.cli import DEFAULT_PE, main as cli_main
 from probvoter.logic import TruthTable, parse_expression, parse_table_file, serialize_table
-from probvoter.sim import SimConfig, run_sweep
+from probvoter.sim import DEFAULT_SEED, DEFAULT_TRIALS, SimConfig, run_sweep
 from probvoter.voter import (
     emit_threshold_sop,
     error_profile,
@@ -115,8 +115,8 @@ def emit_artifacts(fixture: Fixture, outdir: Path, trials: int, seed: int) -> No
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", type=Path, default=Path("out"), help="artifact directory (default: out)")
-    parser.add_argument("--trials", type=int, default=5000, help="Monte Carlo inputs per probability")
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=0xC0FFEE, help="master seed")
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo inputs per probability")
+    parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED, help="master seed")
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     for fixture in FIXTURES:

@@ -41,7 +41,7 @@ from .logic import (
     parse_expression,
     parse_table_file,
 )
-from .sim import SimConfig, run_sweep
+from .sim import DEFAULT_SEED, DEFAULT_TRIALS, SimConfig, run_sweep
 from .voter import (
     ErrorProfile,
     VoterTable,
@@ -68,11 +68,9 @@ DEFAULT_PE = tuple(
 MAX_PE_EXPONENT = 1000
 _EXPONENT_RE = re.compile(r"e([-+]?[\d_]+)\Z", re.IGNORECASE)
 
-DEFAULT_TRIALS = 5000
 # Keeps every error count inside a 64-bit signed integer and its float repr
 # finite.
 MAX_TRIALS = (1 << 63) - 1
-DEFAULT_SEED = 0xC0FFEE
 
 EXIT_CONFIG = 2
 EXIT_PARSE = 3

@@ -16,9 +16,9 @@ holds the state r + 1 draws later; the mixer, the flip test and the vote
 thresholds all run lane-wise as whole-integer operations.  A kept replica
 carries into bit 64 of its lane, so bits 64-72 count the kept replicas,
 and one `bit_count` per voter tallies the votes that match the golden bit
-at bit 72.  The lane constants are built once per sweep and chunk size.
-The only per-trial step left is looking up each trial's golden output; one
-explicit little-endian `struct` layout reads every lane's row index.
+at bit 72.  The lane constants are plain integers, built once per sweep and
+chunk size.  Only the golden-output lookup is left per trial: each lane's
+row index is every second 64-bit word of the little-endian row integer.
 The counts equal those of drawing the stream one value at a time, trial
 after trial (the tests keep that loop as the oracle).
 """
@@ -42,18 +42,19 @@ CHUNK = 4096
 _LANE_BITS = 128
 _LANE_BYTES = _LANE_BITS // 8
 
+DEFAULT_TRIALS = 5000
+DEFAULT_SEED = 0xC0FFEE
+
 
 def _lane_constants(count: int) -> tuple[int, int]:
-    """(ONES, RAMP) for `count` lanes (a power of two): lane j holds 1 and j."""
+    """(ONES, RAMP) for `count` lanes: lane j holds 1 and j."""
     ones, ramp, filled = 1, 0, 1
     while filled < count:
         ramp |= (ramp + filled * ones) << (_LANE_BITS * filled)
         ones |= ones << (_LANE_BITS * filled)
         filled *= 2
-    return ones, ramp
-
-
-_ONES, _RAMP = _lane_constants(CHUNK)
+    mask = (1 << _LANE_BITS * count) - 1
+    return ones & mask, ramp & mask
 
 
 def _mix(z: int, lanes: int = _MASK64) -> int:
@@ -106,8 +107,8 @@ class SimConfig:
     k: int
     voters: tuple[tuple[str, VoterTable], ...]
     pe_values: tuple[Fraction, ...]
-    trials: int = 5000
-    master_seed: int = 0xC0FFEE
+    trials: int = DEFAULT_TRIALS
+    master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         object.__setattr__(self, "voters", tuple(self.voters))
@@ -165,21 +166,20 @@ class AvailabilityRecord:
 
 
 def _chunk_lanes(config: SimConfig, size: int) -> tuple:
-    """The lane constants of a chunk of `size` trials; no cell changes them."""
-    ones = _ONES & (1 << _LANE_BITS * size) - 1
+    """Plain-integer lane constants of a `size`-trial chunk; no cell changes
+    them, and `_run_cell` reads row indices with one `struct` format code."""
+    ones, ramp = _lane_constants(size)
     lanes = ones * _MASK64
     carry = ones << 64
     thresholds = [voter.threshold for _, voter in config.voters]
-    offsets = (_RAMP & lanes) * ((config.k + 1) * _GOLDEN & _MASK64)
+    offsets = ramp * ((config.k + 1) * _GOLDEN & _MASK64)
     row_mask = ones * ((1 << config.function.arity) - 1)
     # A voter with threshold t is right on a golden-1 trial iff kept >= t
     # and on a golden-0 trial iff kept >= k - t + 1.  Kept counts (at most
     # MAX_REPLICAS) sit in bits 64-71, so adding 256 - a carries into bit 72
     # iff kept >= a.
     votes = [(carry * (256 - t), carry * (255 - config.k + t)) for t in thresholds]
-    # Each lane's low 64-bit word, in lane order, of a little-endian row integer.
-    low_words = struct.Struct("<" + "Q8x" * size)
-    return ones, lanes, offsets, row_mask, ones * _GOLDEN, carry, votes, low_words
+    return ones, lanes, offsets, row_mask, ones * _GOLDEN, carry, votes
 
 
 def _run_cell(
@@ -196,14 +196,15 @@ def _run_cell(
 
     for start in range(0, config.trials, CHUNK):
         size = min(CHUNK, config.trials - start)
-        ones, lanes, offsets, row_mask, steps, carry, votes, low_words = chunks[size]
+        ones, lanes, offsets, row_mask, steps, carry, votes = chunks[size]
         flip_bias = ones * bias
         row_state = (first_state + (start * (k + 1) + 1) * _GOLDEN) & _MASK64
         state = (row_state * ones + offsets) & lanes
 
         width = size * _LANE_BYTES
         rows = (_mix(state, lanes) & row_mask).to_bytes(width, "little")
-        golden = itemgetter(*low_words.unpack(rows))(outputs)
+        # A little-endian row integer's even 64-bit words are its lanes' rows.
+        golden = itemgetter(*struct.unpack(f"<{2 * size}Q", rows)[::2])(outputs)
         # Byte 9 of a lane holds bit 72.  itemgetter returns a lone item, not
         # a 1-tuple, for a single row.
         golden_bytes = bytearray(width)

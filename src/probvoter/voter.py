@@ -116,8 +116,7 @@ def synthesize_probabilistic(profile: ErrorProfile, k: int) -> VoterTable:
     (a symbol nobody shows costs infinity).  So t is the smallest
     ones >= 1 with ones * 2^n >= k * N0.
     """
-    if not 1 <= k <= MAX_REPLICAS:
-        raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {k}")
+    # VoterTable checks k before t, so a bad k gets the replica-count message.
     size = 1 << profile.n
     return VoterTable(k, max(1, (k * profile.n0 + size - 1) // size))
 

@@ -368,4 +368,37 @@ def test_cell_memory_does_not_grow_with_trials(two_ones):
     finally:
         tracemalloc.stop()
     # a few chunk-sized (64 KiB) integers; one integer over all trials is 3.2 MB
-    assert peak <= 2 << 20
+    assert peak <= 2 << 20, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("count", [1, 3, 904, CHUNK])
+def test_lane_constants_fill_exactly_count_lanes(count):
+    ones, ramp = sim._lane_constants(count)
+    lane = (1 << 128) - 1
+    assert [ones >> 128 * j & lane for j in range(count)] == [1] * count
+    assert [ramp >> 128 * j & lane for j in range(count)] == list(range(count))
+    assert ones.bit_length() <= 128 * count and ramp.bit_length() <= 128 * count
+
+
+@pytest.mark.parametrize("size", [1, 904, CHUNK])
+def test_chunk_lanes_are_plain_integers(two_ones, size):
+    voters = (("majority", synthesize_majority(3)), ("prob", VoterTable(3, 2)))
+    config = SimConfig(two_ones, 3, voters, (Fraction(1, 10),))
+    for value in sim._chunk_lanes(config, size):
+        if type(value) is list:
+            assert len(value) == len(voters)
+            assert all(
+                type(pair) is tuple and [type(v) for v in pair] == [int, int]
+                for pair in value
+            )
+        else:
+            assert type(value) is int
+
+
+def test_sim_module_holds_no_lane_sized_integers():
+    wide = {
+        name: value.bit_length()
+        for name, value in vars(sim).items()
+        if isinstance(value, int) and value.bit_length() > 128
+    }
+    assert wide == {}

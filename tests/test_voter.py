@@ -149,12 +149,13 @@ def test_majority_even_needs_tie_policy():
 
 def test_replica_count_bounds():
     profile = ErrorProfile(1, 1, 1)
-    with pytest.raises(ValueError):
-        synthesize_probabilistic(profile, 0)
-    with pytest.raises(ValueError):
-        synthesize_probabilistic(profile, 17)
-    with pytest.raises(ValueError):
-        synthesize_majority(0)
+    for k in (-1, 0, 17, 40):
+        message = f"^replica count must be between 1 and 16, got {k}$"
+        with pytest.raises(ValueError, match=message):
+            synthesize_probabilistic(profile, k)
+        # An even k with no tie policy must still get the replica-count message.
+        with pytest.raises(ValueError, match=message):
+            synthesize_majority(k)
 
 
 def test_voter_table_construction_checks_consistency():
