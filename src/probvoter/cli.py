@@ -187,11 +187,11 @@ def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
 
 def _load_function(args):
     """Resolve --table/--expr into a truth table plus manifest source info."""
-    if args.table and args.expr:
+    if args.table is not None and args.expr is not None:
         raise _CliError("give exactly one of --table or --expr, not both", EXIT_CONFIG)
-    if args.vars is not None and not args.expr:
+    if args.vars is not None and args.expr is None:
         raise _CliError("--vars only makes sense with --expr", EXIT_CONFIG)
-    if args.table:
+    if args.table is not None:
         try:
             data = Path(args.table).read_bytes()
         except OSError as exc:
@@ -201,7 +201,7 @@ def _load_function(args):
         except TableFormatError as exc:
             raise _CliError(f"{args.table}: {exc}", EXIT_PARSE) from exc
         return table, {"kind": "table", "path": str(args.table)}
-    if args.expr:
+    if args.expr is not None:
         names = None
         if args.vars is not None:
             names = tuple(part.strip() for part in args.vars.split(","))
@@ -219,14 +219,6 @@ def _load_function(args):
     raise _CliError("a function is required: --table PATH or --expr TEXT", EXIT_CONFIG)
 
 
-def _function_manifest(table, source) -> dict:
-    return {
-        "variables": list(table.variables),
-        "outputs": output_line(table),
-        "source": source,
-    }
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_bytes(text.encode("utf-8"))
@@ -234,12 +226,21 @@ def _write_text(path: str, text: str) -> None:
         raise _CliError(f"cannot write {path}: {exc}", EXIT_CONFIG) from exc
 
 
-def _write_manifest(out_path: str, payload: dict) -> None:
+# A function's output line holds only '0' and '1', which JSON writes as they
+# are, so it is not passed through the encoder: the payload is dumped with
+# this pair empty and the line is put into it.  Every '"' inside a JSON
+# string is escaped, so the pair can only be the function's own.
+_EMPTY_OUTPUTS = '"outputs": ""'
+
+
+def _write_manifest(out_path: str, payload: dict, outputs: str | None = None) -> None:
+    """Write `payload` plus the version; `outputs` fills its function's
+    empty "outputs" pair."""
     payload = dict(payload, version=__version__)
-    _write_text(
-        str(out_path) + ".manifest.json",
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if outputs is not None:
+        text = text.replace(_EMPTY_OUTPUTS, f'"outputs": "{outputs}"', 1)
+    _write_text(str(out_path) + ".manifest.json", text)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -310,7 +311,11 @@ def _write_sweep(args, sweep: _Sweep, rows: list[str], **manifest) -> None:
         args.out,
         {
             "command": args.command,
-            "function": _function_manifest(sweep.table, sweep.source),
+            "function": {
+                "variables": list(sweep.table.variables),
+                "outputs": "",  # filled by _write_manifest
+                "source": sweep.source,
+            },
             "k": args.replicas,
             "tie_policy": args.tie_policy,
             "pe": [_fraction_text(pe) for pe in sweep.grid],
@@ -318,6 +323,7 @@ def _write_sweep(args, sweep: _Sweep, rows: list[str], **manifest) -> None:
             "out": str(args.out),
             **manifest,
         },
+        output_line(sweep.table),
     )
 
 

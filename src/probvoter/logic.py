@@ -8,7 +8,8 @@ variables (a, b, c) row 6 = 0b110 means a=1, b=1, c=0.
 Functions can be built from a small expression language or loaded from a
 two-line text format (variable names, then the output bit string).  Both
 directions between that ASCII line and the stored bytes are one
-`bytes.translate`.
+`bytes.translate`.  The load's table maps any other byte to 2, so the same
+pass rejects a line that holds anything but '0' and '1'.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[+|&*.!~()])"
 )
 
-# ASCII '0'/'1' to the stored row bytes 0/1, and back.
-_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+# ASCII '0'/'1' to the stored row bytes 0/1, and back.  Loading maps every
+# other byte to 2, so one translate both converts and checks a line.
+_FROM_ASCII = bytes({ord("0"): 0, ord("1"): 1}.get(byte, 2) for byte in range(256))
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -299,12 +301,12 @@ def parse_table_file(data: bytes) -> TruthTable:
         raise TableFormatError(
             f"expected {expected} output bits for {len(names)} variables, got {len(row)}"
         )
-    raw = row.encode("utf-8")
-    if raw.translate(None, b"01"):
+    outputs = row.encode("utf-8").translate(_FROM_ASCII)
+    if 2 in outputs:
         bad = min(set(row) - {"0", "1"})
         raise TableFormatError(f"output line may only contain 0 and 1, got {bad!r}")
     try:
-        return TruthTable(tuple(names), raw.translate(_FROM_ASCII))
+        return TruthTable(tuple(names), outputs)
     except ValueError as exc:
         raise TableFormatError(str(exc)) from exc
 

@@ -67,6 +67,23 @@ def test_vars_requires_expr(capsys, table_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (("--table", "TABLE", "--expr", ""), 2, "exactly one"),
+        (("--table", "", "--expr", "a"), 2, "exactly one"),
+        (("--expr", "", "--vars", "a"), 3, "unexpected end of expression"),
+        (("--expr", ""), 3, "unexpected end of expression"),
+        (("--table", ""), 3, "cannot read"),
+    ],
+)
+def test_an_empty_function_source_is_still_given(capsys, table_path, argv, code, message):
+    argv = [table_path if arg == "TABLE" else arg for arg in argv]
+    got, out, err = run(capsys, "profile", *argv)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def test_bad_expression_is_a_parse_error(capsys):
     code, _, err = run(capsys, "profile", "--expr", "a &")
     assert code == 3
@@ -330,6 +347,63 @@ def test_manifest_outputs_match_the_table_line(capsys, tmp_path):
     manifest = json.loads((tmp_path / "expr.csv.manifest.json").read_text())
     expected = serialize_table(parse_expression(QUAD_EXPR)).split("\n")[1]
     assert manifest["function"]["outputs"] == expected == "0011000000001010"
+
+
+# Path and expression texts that JSON must escape, and one that spells the
+# outputs pair itself.
+_AWKWARD_NAMES = ['quo"te', "back\\slash", "café ☃", '"outputs": ""', '\\"outputs\\": \\"\\"']
+
+
+@pytest.mark.parametrize("name", _AWKWARD_NAMES)
+def test_manifest_is_the_json_dump_of_itself(capsys, tmp_path, name):
+    folder = tmp_path / name
+    folder.mkdir()
+    table = folder / (name + ".tt")
+    table.write_text("outputs b c\n01101001\n")
+    expr = "outputs　&\tb\n+\x1f!c + outputs&c"
+    runs = (
+        ("analytic", "--table", str(table)),
+        ("simulate", "--table", str(table), "--trials", "20"),
+        ("simulate", "--expr", expr, "--vars", " outputs, b ,c", "--trials", "20"),
+        ("analytic", "--expr", expr),
+    )
+    for i, argv in enumerate(runs):
+        out = folder / f"{name}{i}.csv"
+        assert run(capsys, *argv, "--pe", "0.1", "--out", str(out))[0] == 0
+        data = (folder / f"{name}{i}.csv.manifest.json").read_bytes()
+        manifest = json.loads(data)
+        assert data == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+        assert manifest["out"] == str(out)
+        assert manifest["function"]["variables"] == ["outputs", "b", "c"]
+        if argv[1] == "--table":
+            assert manifest["function"]["outputs"] == "01101001"
+            assert manifest["function"]["source"]["path"] == str(table)
+        else:
+            assert manifest["function"]["outputs"] == "10101111"
+            assert manifest["function"]["source"]["text"] == expr
+
+
+# sha256 of n = 20 manifests written by `json.dumps` of the whole payload,
+# paths relative to the working directory.
+_N20_MANIFEST_SHA256 = {
+    "analytic": "859562f2cabf0fc50f424abc39fcb0e15d60e387ebe0e91dc0ba6104fcd22daf",
+    "simulate": "e4109d1165bee236c60f3b714fe36e51e5234fd75e33aba82681a9529258e365",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_N20_MANIFEST_SHA256))
+def test_n20_manifest_is_unchanged(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    line = format(random.Random(2020).getrandbits(1 << 20), f"0{1 << 20}b")
+    Path("n20.tt").write_text(" ".join(f"v{i}" for i in range(20)) + "\n" + line + "\n")
+    code, _, _ = run(
+        capsys, command, "--table", "n20.tt", "--pe", "0.05,0.3", "--trials", "100",
+        "--out", "n20.csv",
+    )
+    assert code == 0
+    data = Path("n20.csv.manifest.json").read_bytes()
+    assert json.loads(data)["function"]["outputs"] == line
+    assert hashlib.sha256(data).hexdigest() == _N20_MANIFEST_SHA256[command]
 
 
 def test_analytic_exact_rows(capsys, table_path, tmp_path):

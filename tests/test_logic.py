@@ -158,6 +158,17 @@ def test_table_file_names_smallest_bad_character(row, bad):
     assert str(err.value) == f"output line may only contain 0 and 1, got {bad!r}"
 
 
+def test_table_file_rejects_every_other_ascii_character():
+    # raw \x00 and \x01 included: they are the stored row values, not text
+    for code in range(128):
+        bad = chr(code)
+        if bad in "01\n":
+            continue
+        with pytest.raises(TableFormatError) as err:
+            parse_table_file(("a b\n0" + bad + "10\n").encode("ascii"))
+        assert str(err.value) == f"output line may only contain 0 and 1, got {bad!r}", code
+
+
 def test_outputs_are_one_byte_per_row():
     table = TruthTable(("a", "b"), (0, 1, 1, 0))
     assert table.outputs == b"\x00\x01\x01\x00"
