@@ -74,13 +74,16 @@ def _cdf_numerators(k: int, p: Fraction) -> list[int]:
     """S[m] = d^k * P[Binomial(k, p) <= m] for m = 0..k, where p = a/d."""
     a, d = p.numerator, p.denominator
     b = d - a
-    b_powers = [1]
+    b_power = 1
+    b_powers = [b_power]
     for _ in range(k):
-        b_powers.append(b_powers[-1] * b)
+        b_power *= b
+        b_powers.append(b_power)
+    b_powers.reverse()  # b^k first: the order the sum below reads them
     sums = []
     total = 0
     a_power = 1
-    for binomial, b_power in zip(_binomial_row(k), reversed(b_powers)):
+    for binomial, b_power in zip(_binomial_row(k), b_powers):
         total += binomial * a_power * b_power
         sums.append(total)
         a_power *= a

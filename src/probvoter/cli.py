@@ -45,13 +45,17 @@ from .sim import DEFAULT_SEED, DEFAULT_TRIALS, SimConfig, run_sweep
 from .voter import (
     ErrorProfile,
     VoterTable,
-    emit_minterm_sop,
     emit_threshold_sop,
     error_profile,
+    minterm_sop_blocks,
     render_generic_table,
     synthesize_majority,
     synthesize_probabilistic,
 )
+
+# Not called here: `synth` streams the blocks that emit_minterm_sop joins,
+# but the benchmark's tracer (bench/spans.py) still wraps this name.
+from .voter import emit_minterm_sop  # noqa: F401
 
 CSV_HEADER = "pe,module_avail,majority_avail,prob_avail,majority_errors,prob_errors,trials"
 
@@ -67,6 +71,9 @@ DEFAULT_PE = tuple(
 # run, so a --pe value's decimal exponent is bounded first.
 MAX_PE_EXPONENT = 1000
 _EXPONENT_RE = re.compile(r"e([-+]?[\d_]+)\Z", re.IGNORECASE)
+# A plain ASCII decimal such as "0.001", the common --pe value, is read
+# without Fraction's general string parser.
+_PLAIN_DECIMAL_RE = re.compile(r"([0-9]*)\.([0-9]+)")
 
 # Keeps every error count inside a 64-bit signed integer and its float repr
 # finite.
@@ -170,13 +177,21 @@ def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
             if not part:
                 raise _CliError("empty value in --pe list", EXIT_CONFIG)
             try:
-                exponent = _EXPONENT_RE.search(part)
-                if exponent and abs(int(exponent.group(1))) > MAX_PE_EXPONENT:
-                    raise _CliError(
-                        f"probability {part} has a decimal exponent beyond {MAX_PE_EXPONENT}",
-                        EXIT_CONFIG,
-                    )
-                value = Fraction(part)
+                plain = _PLAIN_DECIMAL_RE.fullmatch(part)
+                if plain:
+                    # Fraction(part)'s own arithmetic, so an over-long part
+                    # fails int()'s digit limit exactly where Fraction would
+                    whole, digits = plain.groups()
+                    scale = 10 ** len(digits)
+                    value = Fraction(int(whole or "0") * scale + int(digits), scale)
+                else:
+                    exponent = _EXPONENT_RE.search(part)
+                    if exponent and abs(int(exponent.group(1))) > MAX_PE_EXPONENT:
+                        raise _CliError(
+                            f"probability {part} has a decimal exponent beyond {MAX_PE_EXPONENT}",
+                            EXIT_CONFIG,
+                        )
+                    value = Fraction(part)
             except (ValueError, ZeroDivisionError):
                 raise _CliError(f"cannot parse probability {part!r}", EXIT_CONFIG) from None
             if not 0 <= value.numerator <= value.denominator:
@@ -269,9 +284,19 @@ def cmd_synth(args) -> int:
     print(" ".join(decisions.variables))
     print(output_line(decisions))
     print(f"t={voter.threshold}")
-    print(f"minterm_sop={emit_minterm_sop(voter)}")
+    # The k=16 SOP is megabytes of text: it goes out block by block, and
+    # the threshold SOP as it is, without building a line around either.
+    write = sys.stdout.write
+    write("minterm_sop=")
+    blocks = minterm_sop_blocks(voter)
+    write(next(blocks))
+    for block in blocks:
+        write(" + ")
+        write(block)
     expression, metrics = emit_threshold_sop(voter)
-    print(f"threshold_sop={expression}")
+    write("\nthreshold_sop=")
+    write(expression)
+    write("\n")
     print(f"terms={metrics.terms} literals={metrics.literals}")
     if args.dump_generic:
         print()
@@ -360,23 +385,34 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def analytic_row(point: ComparisonPoint, k: int, n: int, trials: int) -> str:
-    """One `analytic` CSV row: p, 1 - p, both availabilities and both
+def analytic_rows(
+    points: Iterable[ComparisonPoint], k: int, n: int, trials: int
+) -> list[str]:
+    """The `analytic` CSV rows: p, 1 - p, both availabilities and both
     expected error counts over `trials` inputs.  For p = a/d each is printed
-    by `_decimals` from its integer numerator over d or d^k * 2^n.
+    by `_decimals` from its integer numerator over d or d^k * 2^n; the
+    `_decimals` arguments of each distinct d are worked out once.
     """
-    a, d, den = point.p.numerator, point.p.denominator, point.denominator
-    numerators = (
-        point.majority_numerator,
-        point.prob_numerator,
-        trials * (den - point.majority_numerator),
-        trials * (den - point.prob_numerator),
-    )
-    # d^k * 2^n = 2^(ka + n) * 5^(kb) * r^k for d = 2^a * 5^b * r
-    twos, fives, rest = _split_ten(d)
-    cells = _decimals((a, d - a), twos, fives, rest)
-    cells += _decimals(numerators, k * twos + n, k * fives, rest**k)
-    return ",".join([*cells, "0"])
+    scales = {}
+    rows = []
+    for point in points:
+        a, d, den = point.p.numerator, point.p.denominator, point.denominator
+        if d not in scales:
+            # d^k * 2^n = 2^(ka + n) * 5^(kb) * r^k for d = 2^a * 5^b * r
+            twos, fives, rest = _split_ten(d)
+            scales[d] = (twos, fives, rest), (k * twos + n, k * fives, rest**k)
+        p_scale, value_scale = scales[d]
+        numerators = (
+            point.majority_numerator,
+            point.prob_numerator,
+            trials * (den - point.majority_numerator),
+            trials * (den - point.prob_numerator),
+        )
+        cells = _decimals((a, d - a), *p_scale)
+        cells += _decimals(numerators, *value_scale)
+        cells.append("0")
+        rows.append(",".join(cells))
+    return rows
 
 
 def cmd_analytic(args) -> int:
@@ -387,8 +423,7 @@ def cmd_analytic(args) -> int:
         comparison = compare_and_crossover(sweep.profile, sweep.majority, sweep.prob, sweep.grid)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
-    n = sweep.profile.n
-    rows = [analytic_row(point, args.replicas, n, args.trials) for point in comparison.points]
+    rows = analytic_rows(comparison.points, args.replicas, sweep.profile.n, args.trials)
     _write_sweep(args, sweep, rows)
     for low, high in comparison.crossovers:
         print(f"crossover: pe in ({_format_exact(low)}, {_format_exact(high)})")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .logic import MAX_ARITY, TruthTable
 
@@ -176,14 +176,15 @@ def _pattern_texts(bits: Sequence[tuple[str, str]]) -> list[tuple[str, int]]:
     return patterns
 
 
-def emit_minterm_sop(voter: VoterTable, names: Sequence[str] | None = None) -> str:
-    """Canonical sum of minterms, one term per accepted pattern, ascending.
+def minterm_sop_blocks(voter: VoterTable, names: Sequence[str] | None = None) -> Iterator[str]:
+    """The canonical sum of minterms in blocks, to be joined by " + ".
 
     A term is the literal string of the pattern's high ceil(k/2) bits joined
     to that of its low floor(k/2) bits, each from a table of at most 256
     strings; a high half with h ones takes every low half with >= t-h ones.
-    Each high half's terms are one join, `head + (" + " + head).join(lows)`;
-    a high half that takes no low half writes no block at all.
+    Each high half's terms are one block, `head + (" + " + head).join(lows)`;
+    a high half that takes no low half yields no block at all.  The
+    all-ones pattern is always accepted, so there is at least one block.
     """
     names = _replica_names(voter.k, names)
     split = (voter.k + 1) // 2
@@ -191,13 +192,16 @@ def emit_minterm_sop(voter: VoterTable, names: Sequence[str] | None = None) -> s
     literals = [("&!" + name, "&" + name) for name in names]
     low = _pattern_texts(literals[split:])
     low_at_least = [[text for text, ones in low if ones >= count] for count in range(t + 1)]
-    blocks = []
     for high_text, high_ones in _pattern_texts(literals[:split]):
         lows = low_at_least[max(t - high_ones, 0)]
         if lows:
             head = high_text[1:]
-            blocks.append(head + (" + " + head).join(lows))
-    return " + ".join(blocks)
+            yield head + (" + " + head).join(lows)
+
+
+def emit_minterm_sop(voter: VoterTable, names: Sequence[str] | None = None) -> str:
+    """Canonical sum of minterms, one term per accepted pattern, ascending."""
+    return " + ".join(minterm_sop_blocks(voter, names))
 
 
 def emit_threshold_sop(

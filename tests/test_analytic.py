@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from analytic_oracle import enumerated_availability, fraction_availability
 from probvoter.analytic import (
     SystemModel,
+    _availability_numerator,
     compare_and_crossover,
     expected_errors,
     module_availability,
@@ -229,3 +231,84 @@ def test_crossover_rejects_voters_of_different_k(two_ones):
     ):
         with pytest.raises(ValueError, match="replica count"):
             compare_and_crossover(profile, majority, prob, grid)
+
+
+# --- at most one crossover -------------------------------------------------------
+#
+# In the Bernstein basis B_j(p) = C(k, j) p^j (1-p)^(k-j), for t1 < t2,
+#
+#     2^n (A_t2 - A_t1) = N0 P[t1 <= F <= t2-1] - N1 P[k-t2+1 <= F <= k-t1]
+#
+# has coefficient +N0 on the first index range and -N1 on its mirror image
+# under j -> k-j, so its coefficient signs change at most once.  By
+# Descartes' rule of signs in the Bernstein basis, two threshold voters
+# with the same k then cross at most once in (0, 1).
+
+
+def _bernstein_difference(profile, k, t1, t2):
+    """Coefficients of 2^n (A_t2 - A_t1) in the basis B_j, read off the
+    closed form.
+
+    `_availability_numerator` weighs the partial sums S[m] of the terms
+    C(k, j) a^j b^(k-j); fed the partial sums of the j-th unit vector it
+    gives the j-th coefficient.
+    """
+    units = [[int(m >= j) for m in range(k + 1)] for j in range(k + 1)]
+    return [
+        _availability_numerator(profile, t2, unit) - _availability_numerator(profile, t1, unit)
+        for unit in units
+    ]
+
+
+def _sign_changes(values):
+    signs = [(v > 0) - (v < 0) for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+_CROSSOVER_PROFILES = [
+    ErrorProfile(4, n0, 16 - n0) for n0 in (0, 1, 3, 8, 12, 16)
+] + [ErrorProfile(10, 449, 575)]
+
+
+@pytest.mark.parametrize("profile", _CROSSOVER_PROFILES, ids=lambda p: f"{p.n0}-{p.n1}")
+def test_threshold_voters_differ_by_at_most_one_sign_change(profile):
+    p = Fraction(1, 3)
+    for k in range(1, 17):
+        basis = [comb(k, j) * p**j * (1 - p) ** (k - j) for j in range(k + 1)]
+        for t2 in range(2, k + 1):
+            for t1 in range(1, t2):
+                c = _bernstein_difference(profile, k, t1, t2)
+                assert c == [
+                    profile.n0 * (t1 <= j <= t2 - 1) - profile.n1 * (k - t2 + 1 <= j <= k - t1)
+                    for j in range(k + 1)
+                ]
+                assert _sign_changes(c) <= 1, (k, t1, t2, c)
+        if k > 1:
+            # the coefficients are those of the availabilities themselves
+            c = _bernstein_difference(profile, k, 1, k)
+            a1, ak = (
+                system_availability(SystemModel(profile, VoterTable(k, t), p)) for t in (1, k)
+            )
+            assert sum(cj * bj for cj, bj in zip(c, basis)) == (ak - a1) * (1 << profile.n)
+
+
+@st.composite
+def _voter_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    n1 = draw(st.integers(min_value=0, max_value=1 << n))
+    k = draw(st.integers(min_value=1, max_value=16))
+    thresholds = st.integers(min_value=1, max_value=k)
+    first, second = draw(thresholds), draw(thresholds)
+    return ErrorProfile(n, (1 << n) - n1, n1), VoterTable(k, first), VoterTable(k, second)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _voter_pairs(),
+    st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=64), min_size=1, max_size=40, unique=True
+    ).map(sorted),
+)
+def test_any_two_threshold_voters_cross_at_most_once(voters, grid):
+    profile, first, second = voters
+    assert len(compare_and_crossover(profile, first, second, grid).crossovers) <= 1

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -221,6 +224,61 @@ def test_synth_k16_output_is_unchanged(capsys, kind):
     code, out, _ = run(capsys, "synth", "-k", "16", "--expr", "a", *kind, "--dump-generic")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _SYNTH_K16_SHA256[kind]
+
+
+# sha256 of `synth -k 16` stdout for voters whose minterm SOP has few, many
+# or mostly empty blocks, so that a separator written before the first
+# block, after the last, or around a high half without terms shows.
+_SYNTH_K16_BLOCKS_SHA256 = {
+    # t=12
+    ("--expr", QUAD_EXPR): "b30756ba453775447f0dc3a0816712cbbaac685b7991c0e0d9cd9ae4775b32d0",
+    # t=9
+    ("--expr", "a", "--kind", "majority", "--tie-policy", "0"): "e39007311224e1b7ee802b6ca92c707a858e22c0f7f031738edfb97a8ca4e0c9",
+    # N0=31, t=16: only the last high half has a term
+    ("--expr", "a&b&c&d&e"): "22f484e6672c790a9c59bf227fe46339acaf765aeae7394a4c9152ba241dd82c",
+    # t=1: 65,535 terms
+    ("--expr", "a+b+c+d+e"): "c6417785124db8b107f6cef3bec6202747573497d329528187eb55d366920e79",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_SYNTH_K16_BLOCKS_SHA256))
+def test_synth_k16_sop_blocks_are_unchanged(capsys, argv):
+    code, out, _ = run(capsys, "synth", "-k", "16", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SYNTH_K16_BLOCKS_SHA256[argv]
+
+
+class _CharCounter(io.TextIOBase):
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_synth_k16_streams_its_sop():
+    # The t=8 minterm SOP alone is 2.5 MB: holding it whole, or a line
+    # built around it, puts the traced peak over 5 MB.
+    argv = ["synth", "-k", "16", "--expr", "a"]
+    with contextlib.redirect_stdout(_CharCounter()):
+        assert main(argv) == 0  # first-call caches stay out of the peak
+    sink = _CharCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars == 2_942_026
+    assert peak < 2_500_000, f"traced peak {peak} bytes"
 
 
 def test_simulate_default_grid(capsys, table_path, tmp_path):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from analytic_oracle import analytic_csv, format_exact
+from cli_oracle import parse_pe_grid
 from probvoter import analytic, cli
 from probvoter.analytic import SystemModel, compare_and_crossover, expected_errors, system_availability
 from probvoter.cli import MAX_TRIALS, _decimals, _int_text, main
@@ -137,7 +138,7 @@ def test_analytic_rows_build_no_fraction(monkeypatch):
         raise AssertionError("an analytic row built a Fraction")
 
     monkeypatch.setattr(cli, "Fraction", refuse)
-    rows = [cli.analytic_row(point, 16, profile.n, 5000) for point in comparison.points]
+    rows = cli.analytic_rows(comparison.points, 16, profile.n, 5000)
     assert rows == expected
 
 
@@ -230,3 +231,38 @@ def test_trials_at_the_bound_give_finite_float_errors(tmp_path):
     assert (code, err) == (0, "")
     profile = error_profile(parse_expression("a&b"))
     assert out.read_text() == analytic_csv(profile, 3, None, [Fraction(1, 3)], MAX_TRIALS)
+
+
+def _pe_outcome(parse, entries):
+    """The grid `parse` reads from --pe `entries`, or its error and exit code."""
+    try:
+        return parse(entries)
+    except cli._CliError as exc:
+        return str(exc), exc.code
+
+
+@pytest.mark.parametrize(
+    "part",
+    [
+        ".5", "5.", "0.", "00.25", "1.0000", "1.0001", "0.5_0", "\u0660.\u0665", "1e-3", "1/3",
+        # each side of the point within int()'s default 4,300-digit limit,
+        # both together beyond it
+        pytest.param("0" * 2500 + "." + "1" * 2500, id="2500.2500-digits"),
+        pytest.param("0." + "1" * 5000, id="0.5000-digits"),
+    ],
+)
+def test_pe_part_parses_as_fraction_does(part):
+    assert _pe_outcome(cli._parse_pe_grid, [part]) == _pe_outcome(parse_pe_grid, [part])
+
+
+_PE_PARTS = st.one_of(
+    st.text(alphabet="0123456789._eE+-/ \u0665\u0660,", max_size=12),
+    # plain decimals, which the parser reads without Fraction's own parser
+    st.from_regex(r"[0-9]{0,3}\.[0-9]{1,5}", fullmatch=True),
+)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.lists(_PE_PARTS, min_size=1, max_size=3))
+def test_pe_grid_parses_as_fraction_does(entries):
+    assert _pe_outcome(cli._parse_pe_grid, entries) == _pe_outcome(parse_pe_grid, entries)
