@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from probvoter.analytic import SystemModel, compare_and_crossover, system_availability
+from probvoter.analytic import compare_and_crossover
 from probvoter.cli import DEFAULT_PE, main as cli_main
 from probvoter.logic import TruthTable, parse_expression, parse_table_file, serialize_table
 from probvoter.sim import DEFAULT_SEED, DEFAULT_TRIALS, SimConfig, run_sweep
@@ -70,15 +70,13 @@ def spot_check(fixture: Fixture, trials: int, seed: int) -> None:
         trials=trials,
         master_seed=seed,
     )
-    records = run_sweep(config)
+    exact = compare_and_crossover(profile, majority, prob, SPOT_CHECKS).points
     print(f"{'pe':>8}  {'exact maj':>10} {'meas maj':>9}  {'exact prob':>10} {'meas prob':>9}")
-    for record in records:
-        exact_maj = system_availability(SystemModel(profile, majority, record.pe))
-        exact_prob = system_availability(SystemModel(profile, prob, record.pe))
+    for record, point in zip(run_sweep(config), exact):
         print(
             f"{str(record.pe):>8}  "
-            f"{float(exact_maj):>10.5f} {float(record.availability('majority')):>9.4f}  "
-            f"{float(exact_prob):>10.5f} {float(record.availability('prob')):>9.4f}"
+            f"{float(point.majority_availability):>10.5f} {float(record.availability('majority')):>9.4f}  "
+            f"{float(point.prob_availability):>10.5f} {float(record.availability('prob')):>9.4f}"
         )
     comparison = compare_and_crossover(profile, majority, prob, DEFAULT_PE)
     if comparison.crossovers:

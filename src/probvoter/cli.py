@@ -466,7 +466,11 @@ def cmd_plot(args) -> int:
         parts = line.split(",")
         if len(parts) != 7:
             raise _CliError(f"{args.csv}: expected 7 columns, got {len(parts)}", EXIT_PARSE)
+        # float() also reads `_` separators and non-ASCII digits, which the
+        # .dat would then carry to gnuplot as they are
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError
             values = [float(part) for part in parts]
         except ValueError:
             raise _CliError(f"{args.csv}: malformed row {line!r}", EXIT_PARSE) from None

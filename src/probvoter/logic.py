@@ -57,7 +57,8 @@ class TruthTable:
     """Explicit truth table: variable names plus all 2^n output bits.
 
     `outputs` holds one byte per row, 0 or 1, so `outputs[i]` is row i's
-    output as an int.  Any other sequence of 0/1 values is converted.
+    output as an int.  Any other sequence of 0/1 ints is converted; a float
+    or a string in it raises TypeError.
     """
 
     variables: tuple[str, ...]
@@ -66,7 +67,8 @@ class TruthTable:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         if not isinstance(self.outputs, bytes):
-            object.__setattr__(self, "outputs", bytes(map(int, self.outputs)))
+            # iter() keeps a bare int from becoming that many zero bytes
+            object.__setattr__(self, "outputs", bytes(iter(self.outputs)))
         n = len(self.variables)
         if not 1 <= n <= MAX_ARITY:
             raise ValueError(f"need between 1 and {MAX_ARITY} variables, got {n}")

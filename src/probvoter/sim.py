@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .logic import TruthTable
-from .voter import MAX_REPLICAS, VoterTable
+from .voter import VoterTable, check_replica_count
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -117,10 +117,7 @@ class SimConfig:
         )
         # _run_cell counts each trial's kept replicas in bits 64-71 of its
         # lane and votes on bit 72, which holds only while MAX_REPLICAS < 256.
-        if not 1 <= self.k <= MAX_REPLICAS:
-            raise ValueError(
-                f"replica count must be between 1 and {MAX_REPLICAS}, got {self.k}"
-            )
+        check_replica_count(self.k)
         labels = [label for label, _ in self.voters]
         if len(set(labels)) != len(labels):
             raise ValueError("voter labels must be unique")

@@ -37,6 +37,12 @@ from .logic import MAX_ARITY, TruthTable
 MAX_REPLICAS = 16
 
 
+def check_replica_count(k: int) -> None:
+    """Raise ValueError unless 1 <= k <= MAX_REPLICAS."""
+    if not 1 <= k <= MAX_REPLICAS:
+        raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {k}")
+
+
 @dataclass(frozen=True)
 class ErrorProfile:
     """Output-symbol statistics of an n-input function.
@@ -96,16 +102,13 @@ class VoterTable:
     threshold: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_REPLICAS:
-            raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {self.k}")
+        check_replica_count(self.k)
         if not 1 <= self.threshold <= self.k:
             raise ValueError(f"threshold must be between 1 and {self.k}, got {self.threshold}")
 
-    def as_table(self, names: Sequence[str] | None = None) -> TruthTable:
-        """The voter as an ordinary truth table; replica 1 is a row's MSB."""
-        return TruthTable(
-            _replica_names(self.k, names), _decision_bytes(self.k, self.threshold)
-        )
+    def as_table(self) -> TruthTable:
+        """The voter as an ordinary truth table over y1..yk; y1 is a row's MSB."""
+        return TruthTable(_replica_names(self.k), _decision_bytes(self.k, self.threshold))
 
 
 def synthesize_probabilistic(profile: ErrorProfile, k: int) -> VoterTable:
@@ -128,8 +131,7 @@ def synthesize_majority(k: int, tie_policy: int | None = None) -> VoterTable:
     (0 or 1) saying which symbol wins a k/2-k/2 split; for odd k the
     argument is ignored.
     """
-    if not 1 <= k <= MAX_REPLICAS:
-        raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {k}")
+    check_replica_count(k)
     if k % 2 == 1:
         t = (k + 1) // 2
     else:
@@ -148,15 +150,9 @@ class SopMetrics:
     literals: int
 
 
-def _replica_names(k: int, names: Sequence[str] | None) -> tuple[str, ...]:
-    if names is None:
-        return tuple(f"y{i}" for i in range(1, k + 1))
-    names = tuple(names)
-    if len(names) != k:
-        raise ValueError(f"expected {k} replica names, got {len(names)}")
-    if len(set(names)) != k:
-        raise ValueError("replica names must be distinct")
-    return names
+def _replica_names(k: int) -> tuple[str, ...]:
+    """The replica names y1..yk; every voter's SOP and table is over these."""
+    return tuple(f"y{i}" for i in range(1, k + 1))
 
 
 def _pattern_texts(bits: Sequence[tuple[str, str]]) -> list[tuple[str, int]]:
@@ -176,7 +172,7 @@ def _pattern_texts(bits: Sequence[tuple[str, str]]) -> list[tuple[str, int]]:
     return patterns
 
 
-def minterm_sop_blocks(voter: VoterTable, names: Sequence[str] | None = None) -> Iterator[str]:
+def minterm_sop_blocks(voter: VoterTable) -> Iterator[str]:
     """The canonical sum of minterms in blocks, to be joined by " + ".
 
     A term is the literal string of the pattern's high ceil(k/2) bits joined
@@ -186,10 +182,9 @@ def minterm_sop_blocks(voter: VoterTable, names: Sequence[str] | None = None) ->
     a high half that takes no low half yields no block at all.  The
     all-ones pattern is always accepted, so there is at least one block.
     """
-    names = _replica_names(voter.k, names)
     split = (voter.k + 1) // 2
     t = voter.threshold
-    literals = [("&!" + name, "&" + name) for name in names]
+    literals = [("&!" + name, "&" + name) for name in _replica_names(voter.k)]
     low = _pattern_texts(literals[split:])
     low_at_least = [[text for text, ones in low if ones >= count] for count in range(t + 1)]
     for high_text, high_ones in _pattern_texts(literals[:split]):
@@ -199,22 +194,20 @@ def minterm_sop_blocks(voter: VoterTable, names: Sequence[str] | None = None) ->
             yield head + (" + " + head).join(lows)
 
 
-def emit_minterm_sop(voter: VoterTable, names: Sequence[str] | None = None) -> str:
+def emit_minterm_sop(voter: VoterTable) -> str:
     """Canonical sum of minterms, one term per accepted pattern, ascending."""
-    return " + ".join(minterm_sop_blocks(voter, names))
+    return " + ".join(minterm_sop_blocks(voter))
 
 
-def emit_threshold_sop(
-    voter: VoterTable, names: Sequence[str] | None = None
-) -> tuple[str, SopMetrics]:
+def emit_threshold_sop(voter: VoterTable) -> tuple[str, SopMetrics]:
     """Minimal SOP of a t-of-k threshold: one positive term per t-subset.
 
     Returns the expression and its size (C(k, t) terms of t literals each).
     """
-    names = _replica_names(voter.k, names)
     t = voter.threshold
     terms = comb(voter.k, t)
-    return " + ".join(map("&".join, combinations(names, t))), SopMetrics(terms, t * terms)
+    expression = " + ".join(map("&".join, combinations(_replica_names(voter.k), t)))
+    return expression, SopMetrics(terms, t * terms)
 
 
 def render_generic_table(k: int) -> str:
@@ -226,9 +219,8 @@ def render_generic_table(k: int) -> str:
     A row is its padded high-half bits, its padded low-half bits and its
     popcount's tail, each from a table built once.
     """
-    if not 1 <= k <= MAX_REPLICAS:
-        raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {k}")
-    names = _replica_names(k, None)
+    check_replica_count(k)
+    names = _replica_names(k)
     tails = []
     for ones in range(k + 1):
         zeros = k - ones

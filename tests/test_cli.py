@@ -609,6 +609,28 @@ def test_plot_rejects_malformed_rows(capsys, tmp_path):
 @pytest.mark.parametrize(
     "row",
     [
+        # float() reads every one of these; gnuplot reads none
+        "0.1,0.9,0.9_5,\u0660.\u0665,1_000,2,5000",
+        "0.1,0.9,0.9,0.9,1_0,2,100",
+        "0.1,0.9,0.9,\u0660.9,1,2,100",
+        "0.1,0.9,0.9,0.9,1,2,\uff11\uff10\uff10",
+        "0.1,0.9,0.9,0.9,1,2,100\u3000",
+        "\u00a00.1,0.9,0.9,0.9,1,2,100",
+    ],
+)
+def test_plot_rejects_cells_gnuplot_cannot_read(capsys, tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(CSV_HEADER + "\n0.1,0.9,0.9,0.9,1,2,100\n" + row + "\n", encoding="utf-8")
+    code, stdout, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "fig.gp"))
+    assert (code, stdout) == (3, "")
+    assert err == f"probvoter: {bad}: malformed row {row!r}\n"
+    assert not (tmp_path / "fig.gp").exists()
+    assert not (tmp_path / "fig.dat").exists()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
         "nan,inf,2.5,-1,0,0,0",
         "0.1,nan,0.9,0.9,0,0,100",
         "0.1,0.9,inf,0.9,0,0,100",
@@ -700,6 +722,18 @@ print(json.dumps({
     "outside": sorted(added - set(sys.stdlib_module_names) - {"probvoter"}),
 }))
 """
+
+
+def test_public_names_resolve_and_star_import_binds_exactly_them():
+    import probvoter
+
+    assert len(set(probvoter.__all__)) == len(probvoter.__all__)
+    for name in probvoter.__all__:
+        assert hasattr(probvoter, name), name
+    namespace = {}
+    exec("from probvoter import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(probvoter.__all__)
 
 
 def test_cli_imports_only_the_standard_library():

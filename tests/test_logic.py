@@ -286,6 +286,15 @@ def test_truth_table_validation(variables, outputs):
         TruthTable(variables, outputs)
 
 
+def test_truth_table_converts_only_int_outputs():
+    for outputs in ((0, 1), [0, 1], bytearray(b"\x00\x01"), (False, True), range(2)):
+        assert TruthTable(("a",), outputs).outputs == b"\x00\x01"
+    # int() would truncate 0.9 to 0; bytes(2) would be two zero bytes
+    for outputs in ((0.9, 1), (0.0, 1.0), ("0", "1"), "01", 2):
+        with pytest.raises(TypeError):
+            TruthTable(("a",), outputs)
+
+
 # --- properties ---------------------------------------------------------------
 
 _NAMES = ("p", "q", "r")

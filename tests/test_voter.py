@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probvoter.logic import parse_expression
+from probvoter.logic import TruthTable, parse_expression
+from probvoter.sim import SimConfig
 from probvoter.voter import (
     ErrorProfile,
     SopMetrics,
@@ -149,6 +150,7 @@ def test_majority_even_needs_tie_policy():
 
 def test_replica_count_bounds():
     profile = ErrorProfile(1, 1, 1)
+    function = TruthTable(("a",), b"\x00\x01")
     for k in (-1, 0, 17, 40):
         message = f"^replica count must be between 1 and 16, got {k}$"
         with pytest.raises(ValueError, match=message):
@@ -156,6 +158,12 @@ def test_replica_count_bounds():
         # An even k with no tie policy must still get the replica-count message.
         with pytest.raises(ValueError, match=message):
             synthesize_majority(k)
+        with pytest.raises(ValueError, match=message):
+            VoterTable(k, 1)
+        with pytest.raises(ValueError, match=message):
+            render_generic_table(k)
+        with pytest.raises(ValueError, match=message):
+            SimConfig(function=function, k=k, voters=(), pe_values=(Fraction(1, 2),))
 
 
 def test_voter_table_construction_checks_consistency():
@@ -187,11 +195,11 @@ def test_minterm_sop_equals_the_literal_loop(k, t):
     assert emit_minterm_sop(voter) == minterm_sop(voter)
 
 
-def _sop_digests(voter: VoterTable, names=None) -> tuple[str, str]:
+def _sop_digests(voter: VoterTable) -> tuple[str, str]:
     """sha256 of the minterm SOP, and of the threshold SOP with its metrics."""
-    expression, metrics = emit_threshold_sop(voter, names)
+    expression, metrics = emit_threshold_sop(voter)
     return (
-        hashlib.sha256(emit_minterm_sop(voter, names).encode()).hexdigest(),
+        hashlib.sha256(emit_minterm_sop(voter).encode()).hexdigest(),
         hashlib.sha256(f"{expression}\n{metrics.terms} {metrics.literals}".encode()).hexdigest(),
     )
 
@@ -276,14 +284,6 @@ def test_sop_text_is_unchanged(k):
     assert (minterm.hexdigest(), threshold.hexdigest()) == _SOP_SHA256[k]
 
 
-def test_sop_text_with_custom_names_is_unchanged():
-    names = ("a", "bb", "c_3", "D", "e5e", "f", "gg", "h0", "i", "jjjj", "k", "L", "m_", "n", "o1", "p")
-    assert _sop_digests(VoterTable(16, 8), names) == (
-        "5202620374dcd979b7e43adb11e3e6ee05b9372848beb3e95e38edaf3b4dcfc6",
-        "9c72b4d413820d264cf026517dfc68fe7370994000a02b1d0328749e7e2436cd",
-    )
-
-
 @pytest.mark.parametrize("k", range(1, 17))
 def test_sop_of_unanimity_is_one_term(k):
     # t = k: every high half but the all-ones one takes no low half, and at
@@ -305,16 +305,6 @@ def test_threshold_sop_of_majority():
     expression, metrics = emit_threshold_sop(synthesize_majority(3))
     assert expression == "y1&y2 + y1&y3 + y2&y3"
     assert metrics == SopMetrics(terms=3, literals=6)
-
-
-def test_sop_with_custom_names():
-    voter = synthesize_majority(3)
-    expression, _ = emit_threshold_sop(voter, ("a", "b", "c"))
-    assert expression == "a&b + a&c + b&c"
-    with pytest.raises(ValueError):
-        emit_minterm_sop(voter, ("a", "b"))
-    with pytest.raises(ValueError):
-        emit_minterm_sop(voter, ("a", "a", "a"))
 
 
 def test_generic_table_k2_rendering():
