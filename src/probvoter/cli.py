@@ -34,6 +34,7 @@ from .analytic import ComparisonPoint, compare_and_crossover
 # names on this module, so they must stay importable from it.
 from .analytic import expected_errors, module_availability  # noqa: F401
 from .logic import (
+    _TO_ASCII,
     ExpressionError,
     TableFormatError,
     TruthTable,
@@ -234,28 +235,38 @@ def _load_function(args):
     raise _CliError("a function is required: --table PATH or --expr TEXT", EXIT_CONFIG)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_bytes(path: str, *parts: bytes) -> None:
     try:
-        Path(path).write_bytes(text.encode("utf-8"))
+        with open(path, "wb") as file:
+            for part in parts:
+                file.write(part)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}", EXIT_CONFIG) from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    _write_bytes(path, text.encode("utf-8"))
+
+
 # A function's output line holds only '0' and '1', which JSON writes as they
 # are, so it is not passed through the encoder: the payload is dumped with
-# this pair empty and the line is put into it.  Every '"' inside a JSON
-# string is escaped, so the pair can only be the function's own.
+# this pair empty, and the file is the text before the pair's closing quote,
+# the line's bytes, then the rest.  Every '"' inside a JSON string is
+# escaped, so the pair can only be the function's own.
 _EMPTY_OUTPUTS = '"outputs": ""'
 
 
-def _write_manifest(out_path: str, payload: dict, outputs: str | None = None) -> None:
-    """Write `payload` plus the version; `outputs` fills its function's
-    empty "outputs" pair."""
+def _write_manifest(out_path: str, payload: dict, outputs: bytes | None = None) -> None:
+    """Write `payload` plus the version; `outputs`, ASCII '0'/'1' bytes,
+    fills its function's empty "outputs" pair."""
     payload = dict(payload, version=__version__)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if outputs is not None:
-        text = text.replace(_EMPTY_OUTPUTS, f'"outputs": "{outputs}"', 1)
-    _write_text(str(out_path) + ".manifest.json", text)
+    path = str(out_path) + ".manifest.json"
+    if outputs is None:
+        _write_text(path, text)
+        return
+    split = text.index(_EMPTY_OUTPUTS) + len(_EMPTY_OUTPUTS) - 1
+    _write_bytes(path, text[:split].encode("utf-8"), outputs, text[split:].encode("utf-8"))
 
 
 # --- subcommands --------------------------------------------------------------
@@ -348,7 +359,7 @@ def _write_sweep(args, sweep: _Sweep, rows: list[str], **manifest) -> None:
             "out": str(args.out),
             **manifest,
         },
-        output_line(sweep.table),
+        sweep.table.outputs.translate(_TO_ASCII),
     )
 
 

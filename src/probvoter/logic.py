@@ -58,7 +58,7 @@ class TruthTable:
 
     `outputs` holds one byte per row, 0 or 1, so `outputs[i]` is row i's
     output as an int.  Any other sequence of 0/1 ints is converted; a float
-    or a string in it raises TypeError.
+    or a string in it raises TypeError.  The constructor checks every byte.
     """
 
     variables: tuple[str, ...]
@@ -69,6 +69,26 @@ class TruthTable:
         if not isinstance(self.outputs, bytes):
             # iter() keeps a bare int from becoming that many zero bytes
             object.__setattr__(self, "outputs", bytes(iter(self.outputs)))
+        self._check_shape()
+        if self.outputs.translate(None, b"\x00\x01"):
+            raise ValueError("output bits must be 0 or 1")
+
+    @classmethod
+    def _from_bits(cls, variables: Sequence[str], outputs: bytes) -> TruthTable:
+        """A table over `outputs`, whose bytes are 0 or 1 by construction.
+
+        Checks the names and the length as the constructor does, but not
+        each byte again; only producers that wrote `outputs` themselves from
+        0/1 values may call it.
+        """
+        table = object.__new__(cls)
+        object.__setattr__(table, "variables", tuple(variables))
+        object.__setattr__(table, "outputs", outputs)
+        table._check_shape()
+        return table
+
+    def _check_shape(self) -> None:
+        """The name and length checks that every table passes."""
         n = len(self.variables)
         if not 1 <= n <= MAX_ARITY:
             raise ValueError(f"need between 1 and {MAX_ARITY} variables, got {n}")
@@ -83,8 +103,6 @@ class TruthTable:
             raise ValueError(
                 f"expected {1 << n} output bits for {n} variables, got {len(self.outputs)}"
             )
-        if self.outputs.translate(None, b"\x00\x01"):
-            raise ValueError("output bits must be 0 or 1")
 
     @property
     def arity(self) -> int:
@@ -208,10 +226,15 @@ def _compile(text: str) -> tuple[list[tuple], dict[str, int], int, int]:
         i += 1
 
 
-def _variable_mask(position: int, n: int) -> int:
-    """Bitmask over all 2^n rows where variable `position` (0 = MSB) is 1."""
+def _row_order_mask(position: int, n: int) -> int:
+    """Bitmask over all 2^n rows where variable `position` (0 = MSB) is 1,
+    in row order: row 0 is the most significant bit.
+
+    Row 2^n - 1 - i negates every input of row i, so this is the complement
+    of the mask that keeps row i at bit i.
+    """
     half = 1 << (n - 1 - position)
-    mask = ((1 << half) - 1) << half
+    mask = (1 << half) - 1
     period = half << 1
     size = 1 << n
     while period < size:
@@ -221,7 +244,7 @@ def _variable_mask(position: int, n: int) -> int:
 
 
 def _eval_mask(code: list[tuple], masks: dict[str, int], full: int) -> int:
-    """Run postfix code; bit i of the result is the output of row i."""
+    """Run postfix code over masks of one bit order; the result has the same."""
     stack: list[int] = []
     for step in code:
         op = step[0]
@@ -267,48 +290,75 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
             deepest_at,
         )
     full = (1 << size) - 1
-    masks = {name: _variable_mask(j, n) for j, name in enumerate(order)}
-    result = _eval_mask(code, masks, full)
-    bits = format(result, f"0{size}b")[::-1].encode("ascii")
-    return TruthTable(order, bits.translate(_FROM_ASCII))
+    # no name keeps the masks, so they are freed before the text is built
+    result = _eval_mask(code, {name: _row_order_mask(j, n) for j, name in enumerate(order)}, full)
+    # row order: the binary text lists row 0 first
+    bits = format(result, f"0{size}b").encode("ascii")
+    return TruthTable._from_bits(order, bits.translate(_FROM_ASCII))
 
 
 # --- table file format ------------------------------------------------------
 #
 # Optional leading '#' comment lines, then a line of whitespace-separated
-# variable names, then a line of 2^n characters from {0, 1}.
+# variable names, then a line of 2^n characters from {0, 1}.  Whitespace is
+# what str.split() and str.strip() take it to be, Unicode included.
+#
+# The file is read as bytes and split into lines in C, which copies the
+# output line once; only the names line, an extra line, and the ends of the
+# output line are decoded.
+
+# The ASCII characters that str.isspace() accepts; bytes.strip() alone
+# keeps \x1c-\x1f.
+_ASCII_SPACE = bytes(byte for byte in range(128) if chr(byte).isspace())
+
+
+def _strip(line: bytes) -> bytes:
+    """`line` less what str.strip() removes from its UTF-8 text."""
+    line = line.strip(_ASCII_SPACE)
+    # a multibyte character left at either end may be Unicode whitespace
+    if line and (line[0] > 0x7F or line[-1] > 0x7F):
+        line = line.decode("utf-8").strip().encode("utf-8")
+    return line
 
 
 def parse_table_file(data: bytes) -> TruthTable:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TableFormatError(f"table file is not valid UTF-8: {exc}") from exc
-    lines = [line.rstrip("\r") for line in text.split("\n")]
-    body = [line for line in lines if not line.startswith("#")]
-    while body and not body[-1].strip():
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(f"table file is not valid UTF-8: {exc}") from exc
+    # Every line that does not start with '#'.  A line keeps its trailing
+    # '\r's: strip() and split() drop them anyway, so only the extra-line
+    # message removes them.
+    body = [line for line in data.split(b"\n") if not line.startswith(b"#")]
+    while body and not _strip(body[-1]):
         body.pop()
     if len(body) < 2:
         raise TableFormatError("expected a variable-name line and an output line")
     if len(body) > 2:
-        raise TableFormatError(f"unexpected extra line: {body[2]!r}")
-    names = body[0].split()
+        extra = body[2].rstrip(b"\r").decode("utf-8")
+        raise TableFormatError(f"unexpected extra line: {extra!r}")
+    names = body[0].decode("utf-8").split()
     if not names:
         raise TableFormatError("variable-name line is empty")
     if len(names) > MAX_ARITY:
         raise TableFormatError(f"too many variables: {len(names)} > {MAX_ARITY}")
-    row = body[1].strip()
+    row = _strip(body[1])
+    outputs = row.translate(_FROM_ASCII)
+    invalid = 2 in outputs
+    if invalid:
+        # lengths and the bad character are counted in characters
+        row = row.decode("utf-8")
     expected = 1 << len(names)
     if len(row) != expected:
         raise TableFormatError(
             f"expected {expected} output bits for {len(names)} variables, got {len(row)}"
         )
-    outputs = row.encode("utf-8").translate(_FROM_ASCII)
-    if 2 in outputs:
+    if invalid:
         bad = min(set(row) - {"0", "1"})
         raise TableFormatError(f"output line may only contain 0 and 1, got {bad!r}")
     try:
-        return TruthTable(tuple(names), outputs)
+        return TruthTable._from_bits(names, outputs)
     except ValueError as exc:
         raise TableFormatError(str(exc)) from exc
 

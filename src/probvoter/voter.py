@@ -37,8 +37,16 @@ from .logic import MAX_ARITY, TruthTable
 MAX_REPLICAS = 16
 
 
+def _check_int(name: str, value: int) -> None:
+    """Raise TypeError unless `value` is a plain int (a bool is not)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def check_replica_count(k: int) -> None:
-    """Raise ValueError unless 1 <= k <= MAX_REPLICAS."""
+    """Raise TypeError unless k is a plain int, and ValueError unless
+    1 <= k <= MAX_REPLICAS."""
+    _check_int("replica count", k)
     if not 1 <= k <= MAX_REPLICAS:
         raise ValueError(f"replica count must be between 1 and {MAX_REPLICAS}, got {k}")
 
@@ -103,12 +111,13 @@ class VoterTable:
 
     def __post_init__(self):
         check_replica_count(self.k)
+        _check_int("threshold", self.threshold)
         if not 1 <= self.threshold <= self.k:
             raise ValueError(f"threshold must be between 1 and {self.k}, got {self.threshold}")
 
     def as_table(self) -> TruthTable:
         """The voter as an ordinary truth table over y1..yk; y1 is a row's MSB."""
-        return TruthTable(_replica_names(self.k), _decision_bytes(self.k, self.threshold))
+        return TruthTable._from_bits(_replica_names(self.k), _decision_bytes(self.k, self.threshold))
 
 
 def synthesize_probabilistic(profile: ErrorProfile, k: int) -> VoterTable:
@@ -119,7 +128,8 @@ def synthesize_probabilistic(profile: ErrorProfile, k: int) -> VoterTable:
     (a symbol nobody shows costs infinity).  So t is the smallest
     ones >= 1 with ones * 2^n >= k * N0.
     """
-    # VoterTable checks k before t, so a bad k gets the replica-count message.
+    # k is checked before it enters the arithmetic: a str k would repeat.
+    check_replica_count(k)
     size = 1 << profile.n
     return VoterTable(k, max(1, (k * profile.n0 + size - 1) // size))
 

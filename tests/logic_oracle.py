@@ -1,10 +1,15 @@
-"""Recursive reference for the expression compiler in `probvoter.logic`.
+"""Reference versions of the two loaders in `probvoter.logic`.
 
-This is the grammar written as a textbook recursive-descent parser over a
-nested-tuple syntax tree, evaluated by recursion.  It overflows the
+The expression grammar is written as a textbook recursive-descent parser
+over a nested-tuple syntax tree, evaluated by recursion.  It overflows the
 interpreter stack on long chains or deep nesting, so the runtime compiles
 to postfix code instead; the tests require both to agree on every table
 and on every error message and position.
+
+The table file is read by decoding the whole file and splitting its text
+into lines.  That holds the file as text, its lines and the output line
+once more as bytes, so the runtime works on the bytes instead; the tests
+require both to return equal tables or raise the same error.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from probvoter.logic import (
+    _FROM_ASCII,
     MAX_ARITY,
     ExpressionError,
+    TableFormatError,
     TruthTable,
     _tokenize,
-    _variable_mask,
 )
 
 _OR_OPS = frozenset("+|")
@@ -88,6 +94,18 @@ class _Parser:
         return len(self.text)
 
 
+def _variable_mask(position: int, n: int) -> int:
+    """Bitmask over all 2^n rows where variable `position` (0 = MSB) is 1."""
+    half = 1 << (n - 1 - position)
+    mask = ((1 << half) - 1) << half
+    period = half << 1
+    size = 1 << n
+    while period < size:
+        mask |= mask << period
+        period <<= 1
+    return mask
+
+
 def _eval_mask(node, masks: dict[str, int], full: int) -> int:
     op = node[0]
     if op == "var":
@@ -121,3 +139,38 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
     masks = {name: _variable_mask(j, n) for j, name in enumerate(order)}
     result = _eval_mask(ast, masks, (1 << size) - 1)
     return TruthTable(order, tuple((result >> row) & 1 for row in range(size)))
+
+
+def parse_table_file(data: bytes) -> TruthTable:
+    """`probvoter.logic.parse_table_file`, over the decoded text."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"table file is not valid UTF-8: {exc}") from exc
+    lines = [line.rstrip("\r") for line in text.split("\n")]
+    body = [line for line in lines if not line.startswith("#")]
+    while body and not body[-1].strip():
+        body.pop()
+    if len(body) < 2:
+        raise TableFormatError("expected a variable-name line and an output line")
+    if len(body) > 2:
+        raise TableFormatError(f"unexpected extra line: {body[2]!r}")
+    names = body[0].split()
+    if not names:
+        raise TableFormatError("variable-name line is empty")
+    if len(names) > MAX_ARITY:
+        raise TableFormatError(f"too many variables: {len(names)} > {MAX_ARITY}")
+    row = body[1].strip()
+    expected = 1 << len(names)
+    if len(row) != expected:
+        raise TableFormatError(
+            f"expected {expected} output bits for {len(names)} variables, got {len(row)}"
+        )
+    outputs = row.encode("utf-8").translate(_FROM_ASCII)
+    if 2 in outputs:
+        bad = min(set(row) - {"0", "1"})
+        raise TableFormatError(f"output line may only contain 0 and 1, got {bad!r}")
+    try:
+        return TruthTable(tuple(names), outputs)
+    except ValueError as exc:
+        raise TableFormatError(str(exc)) from exc

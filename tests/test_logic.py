@@ -1,12 +1,16 @@
+import contextlib
+import io
 import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logic_oracle
 from conftest import nested_chain
+from probvoter.cli import main
 from probvoter.logic import (
     MAX_STACK_BITS,
     ExpressionError,
@@ -167,6 +171,127 @@ def test_table_file_rejects_every_other_ascii_character():
         with pytest.raises(TableFormatError) as err:
             parse_table_file(("a b\n0" + bad + "10\n").encode("ascii"))
         assert str(err.value) == f"output line may only contain 0 and 1, got {bad!r}", code
+
+
+# Every kind of byte the loader treats apart: the row's digits, comment and
+# line marks, each whitespace character str.strip() removes (ASCII and not),
+# a non-space letter of two bytes, and bytes that are not valid UTF-8.
+_SPACES = (
+    b" ", b"\t", b"\x0b", b"\x0c", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+    *(char.encode() for char in "\u00a0\u0085\u2028\u3000"),
+)
+_TEXT = _SPACES + (b"0", b"1", b"#", b"\n", b"a", b"b", "\u00e9".encode())
+_PIECES = _TEXT + (b"\xff", b"\xc3")
+_space = st.lists(st.sampled_from(_SPACES), max_size=2).map(b"".join)
+_text = st.lists(st.sampled_from(_TEXT), max_size=6).map(b"".join)
+_junk = st.lists(st.sampled_from(_PIECES), max_size=6).map(b"".join)
+# blank lines twice as often as each other kind
+_extra_line = st.one_of(
+    _space, _space, _text.map(lambda text: b"#" + text), _junk.map(lambda text: b"#" + text), _junk
+)
+
+
+# valid names, and one that is not
+_NAMES_BYTES = (b"a", b"b", b"c", b"x1", b"_y", "\u00e9".encode())
+
+
+@st.composite
+def _table_files(draw):
+    """A names line and an output line that are mostly well formed, among
+    blank, comment and stray lines in any position."""
+    n = draw(st.integers(1, 3))
+    unique = draw(st.integers(0, 3)) > 0
+    names = draw(st.lists(st.sampled_from(_NAMES_BYTES), min_size=n, max_size=n, unique=unique))
+    gap = st.lists(st.sampled_from(_SPACES), min_size=1, max_size=2).map(b"".join)
+    names_line = names[0] + b"".join(draw(gap) + name for name in names[1:])
+    size = (1 << n) + draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+    row = b"".join(draw(st.lists(st.sampled_from((b"0", b"1")), min_size=size, max_size=size)))
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(row)))
+        row = row[:at] + draw(st.one_of(st.sampled_from(_PIECES), _junk)) + row[at + 1:]
+    lines = [draw(_space) + names_line + draw(_space), draw(_space) + row + draw(_space)]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_extra_line))
+    lines = [line + draw(st.sampled_from((b"", b"", b"\r"))) for line in lines]
+    return b"\n".join(lines) + draw(st.sampled_from((b"", b"\n", b"\r\n", b"\n\n")))
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+# three in four files have a names line and an output line
+_files = st.one_of(
+    _table_files(), _table_files(), _table_files(), st.lists(_extra_line, max_size=4).map(b"\n".join)
+)
+
+
+@settings(max_examples=1000)
+@given(_files)
+@example(b"a b\n0110\n")
+@example("\u3000a b\u2028\n\u00a00110\u0085\n\u3000\n".encode())
+@example(b"a b\n0\x1c10\n\x1c\n")
+@example("a b\n01\u00e90\n".encode())
+@example("a b\n01\u00e9\n".encode())
+@example(b"a b\n0110\n\n#x\nstray\r\r\n\n")
+@example(b"a b\n0110\xc3\n")
+@example(b"#\xff\na\n01\n")
+@example(b"a\x1cb\n0110\n")
+@example(" ".join(f"v{i}" for i in range(21)).encode() + b"\n01\n")
+def test_table_loader_matches_text_oracle(data):
+    """Equal tables, or the same exception type and message."""
+    assert _outcome(parse_table_file, data) == _outcome(logic_oracle.parse_table_file, data), data
+
+
+def test_only_trusted_producers_skip_the_byte_scan():
+    with pytest.raises(ValueError, match="^output bits must be 0 or 1$"):
+        TruthTable(("a",), b"\x02\x00")
+    # the private constructor still checks the names and the length
+    assert TruthTable._from_bits(["a"], b"\x00\x01") == TruthTable(("a",), b"\x00\x01")
+    for variables, outputs in (
+        (("a", "a"), bytes(4)), (("2bad",), bytes(2)), (("a",), bytes(3)), ((), b""),
+    ):
+        with pytest.raises(ValueError):
+            TruthTable._from_bits(variables, outputs)
+
+
+def _n20_file() -> bytes:
+    line = format(random.Random(2020).getrandbits(1 << 20), f"0{1 << 20}b")
+    return (" ".join(f"v{i}" for i in range(20)) + "\n" + line + "\n").encode()
+
+
+def _traced_peak(run) -> int:
+    run()  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_n20_load_holds_the_row_about_twice():
+    # the output line sliced out of the file, and its 0/1 bytes
+    data = _n20_file()
+    peak = _traced_peak(lambda: parse_table_file(data))
+    assert peak < 2.5 * 2**20, f"traced peak {peak} bytes"
+
+
+def test_n20_analytic_run_holds_the_row_about_three_times(tmp_path):
+    path = tmp_path / "n20.tt"
+    path.write_bytes(_n20_file())
+    argv = ["analytic", "--table", str(path), "--out", str(tmp_path / "n20.csv")]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+    peak = _traced_peak(run)
+    assert peak < 4 * 2**20, f"traced peak {peak} bytes"
 
 
 def test_outputs_are_one_byte_per_row():

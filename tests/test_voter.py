@@ -166,6 +166,28 @@ def test_replica_count_bounds():
             SimConfig(function=function, k=k, voters=(), pe_values=(Fraction(1, 2),))
 
 
+@pytest.mark.parametrize("k", [3.0, True, False, 2.5, "3", None])
+def test_replica_count_must_be_a_plain_int(k):
+    function = TruthTable(("a",), b"\x00\x01")
+    message = f"^replica count must be an int, got {type(k).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        VoterTable(k, 1)
+    with pytest.raises(TypeError, match=message):
+        synthesize_majority(k, 1)
+    with pytest.raises(TypeError, match=message):
+        synthesize_probabilistic(ErrorProfile(1, 1, 1), k)
+    with pytest.raises(TypeError, match=message):
+        render_generic_table(k)
+    with pytest.raises(TypeError, match=message):
+        SimConfig(function=function, k=k, voters=(), pe_values=(Fraction(1, 2),))
+
+
+@pytest.mark.parametrize("threshold", [2.0, True, Fraction(2)])
+def test_threshold_must_be_a_plain_int(threshold):
+    with pytest.raises(TypeError, match=f"^threshold must be an int, got {type(threshold).__name__}$"):
+        VoterTable(3, threshold)
+
+
 def test_voter_table_construction_checks_consistency():
     for k, t in ((3, 0), (3, 4), (0, 1), (17, 1)):
         with pytest.raises(ValueError):
