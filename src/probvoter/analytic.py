@@ -8,25 +8,33 @@ correct is
 
     A(p) = (N0/2^n) * P[F <= t-1] + (N1/2^n) * P[F <= k-t]
 
-with N0, N1 the 0-rows and 1-rows of the truth table.  Writing p = a/d,
+with N0, N1 the 0-rows and 1-rows of the truth table.  In powers of p,
 
-    P[F <= m] = S[m] / d^k,   S[m] = sum_{j <= m} C(k, j) a^j (d-a)^(k-j),
+    P[F <= m] = 1 + sum_{i > m} (-1)^(i-m) C(k, i) C(i-1, m) p^i,
 
-so one pass over j gives the integer partial sums S for every threshold,
-and A(p) is the single `Fraction((N0*S[t-1] + N1*S[k-t]), d^k * 2^n)`.
+so writing p = a/d, each voter's availability is one integer polynomial
+
+    A(p) * d^k * 2^n = sum_{i=0..k} e_i a^i d^(k-i),   e_0 = N0 + N1 = 2^n,
+    e_i = C(k, i) * (N0 (-1)^(i-t+1) C(i-1, t-1) + N1 (-1)^(i-k+t) C(i-1, k-t)).
+
+e_1 .. e_(r-1) vanish, where r = min(t, k-t+1) is the voter's fault-masking
+order (t when N1 = 0, k-t+1 when N0 = 0), so 1 - A(p) = Theta(p^r).  The
+e_i are built once per voter, the terms e_i d^(k-i) once per distinct
+denominator d, and each grid point a/d is then one Horner pass in a.
 Results are exact for rational p; no float enters an availability.
 
 Every voter at one p shares the denominator D = d^k * 2^n, and so does
 every expected error count: `trials` inputs give `trials * (D - N)` wrong
 outputs over D for an availability N over D.  `compare_and_crossover`
-therefore makes one pass per grid point for the two voters its caller
-built and keeps each `ComparisonPoint` as two integer numerators over D.
-The crossover sign is the sign of their difference, and a caller printing
-the values never needs a gcd.
+therefore evaluates the two voters its caller built at each grid point
+and keeps each `ComparisonPoint` as two integer numerators over D.  The
+crossover sign is the sign of their difference, and a caller printing the
+values never needs a gcd.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -64,43 +72,74 @@ def module_availability(p) -> Fraction:
     return 1 - _as_probability(p)
 
 
+# A voter's masking order and its nonzero terms, highest power of a first.
+_Polynomial = tuple[int, tuple[int, ...]]
+# d^k * 2^n for one denominator d, and each polynomial's terms scaled by d.
+_Table = tuple[int, list[tuple[int, list[int]]]]
+
+
 @cache
-def _binomial_row(k: int) -> tuple[int, ...]:
-    """C(k, j) for j = 0..k; k is a validated replica count, so at most 16 rows."""
-    return tuple(comb(k, j) for j in range(k + 1))
+def _cdf_coefficients(k: int, m: int) -> tuple[int, ...]:
+    """c_0..c_k with P[Binomial(k, p) <= m] = sum_i c_i p^i, for 0 <= m < k.
+
+    c_0 = 1, and c_i = (-1)^(i-m) C(k, i) C(i-1, m) vanishes for i <= m.
+    k is a validated replica count, so the cache holds at most 136 entries.
+    """
+    return (1,) + tuple(
+        (-1) ** (i - m) * comb(k, i) * comb(i - 1, m) if i > m else 0 for i in range(1, k + 1)
+    )
 
 
-def _cdf_numerators(k: int, p: Fraction) -> list[int]:
-    """S[m] = d^k * P[Binomial(k, p) <= m] for m = 0..k, where p = a/d."""
-    a, d = p.numerator, p.denominator
-    b = d - a
-    b_power = 1
-    b_powers = [b_power]
-    for _ in range(k):
-        b_power *= b
-        b_powers.append(b_power)
-    b_powers.reverse()  # b^k first: the order the sum below reads them
-    sums = []
-    total = 0
-    a_power = 1
-    for binomial, b_power in zip(_binomial_row(k), b_powers):
-        total += binomial * a_power * b_power
-        sums.append(total)
-        a_power *= a
-    return sums
+def _power_coefficients(profile: ErrorProfile, k: int, t: int) -> tuple[int, ...]:
+    """e_0..e_k with A(p) * d^k * 2^n = sum_i e_i a^i d^(k-i) for p = a/d."""
+    below_t, below_mirror = _cdf_coefficients(k, t - 1), _cdf_coefficients(k, k - t)
+    return tuple(profile.n0 * x + profile.n1 * y for x, y in zip(below_t, below_mirror))
 
 
-def _availability_numerator(profile: ErrorProfile, t: int, sums: list[int]) -> int:
-    """A(p) * d^k * 2^n for a threshold-t voter, from `_cdf_numerators`."""
-    k = len(sums) - 1
-    return profile.n0 * sums[t - 1] + profile.n1 * sums[k - t]
+def _polynomial(profile: ErrorProfile, voter: VoterTable) -> _Polynomial:
+    """The voter's masking order r and its terms e_k, ..., e_r.
+
+    With e_0 = 2^n and e_1 .. e_(r-1) zero, A(p) * d^k * 2^n is
+    d^k * 2^n + a^r * sum_{i >= r} e_i a^(i-r) d^(k-i).
+    """
+    e = _power_coefficients(profile, voter.k, voter.threshold)
+    order = next(i for i in range(1, voter.k + 1) if e[i])
+    return order, e[: order - 1 : -1]
+
+
+def _scale(polynomials: Sequence[_Polynomial], k: int, d: int, n: int) -> _Table:
+    """d^k * 2^n, and each polynomial's order with its terms e_i * d^(k-i)."""
+    scaled = []
+    for order, terms in polynomials:
+        power = 1
+        row = []
+        for term in terms:
+            row.append(term * power)
+            power *= d
+        scaled.append((order, row))
+    return d**k << n, scaled
+
+
+def _evaluate(table: _Table, a: int) -> list[int]:
+    """Each polynomial's numerator at p = a/d over the table's d^k * 2^n,
+    by Horner in a."""
+    denominator, scaled = table
+    numerators = []
+    for order, terms in scaled:
+        total = 0
+        for term in terms:
+            total = total * a + term
+        numerators.append(denominator + total * a**order)
+    return numerators
 
 
 def _availability_ratio(model: SystemModel) -> tuple[int, int]:
     """A(p) as an unreduced numerator and the denominator d^k * 2^n."""
-    sums = _cdf_numerators(model.voter.k, model.p)
-    numerator = _availability_numerator(model.profile, model.voter.threshold, sums)
-    return numerator, sums[-1] << model.profile.n
+    p = model.p
+    polynomial = _polynomial(model.profile, model.voter)
+    table = _scale([polynomial], model.voter.k, p.denominator, model.profile.n)
+    (numerator,) = _evaluate(table, p.numerator)
+    return numerator, table[0]
 
 
 def system_availability(model: SystemModel) -> Fraction:
@@ -159,20 +198,31 @@ def compare_and_crossover(
     grid = tuple(_as_probability(p) for p in p_grid)
     if not grid:
         raise ValueError("probability grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("probability grid must be strictly ascending")
-    k, prob_t, majority_t = prob.k, prob.threshold, majority.threshold
+    polynomials = [_polynomial(profile, voter) for voter in (prob, majority)]
+    # a denominator's table is kept only while grid points over it remain
+    pending = Counter(p.denominator for p in grid)
+    tables = {}
     points = []
     crossovers = []
     last_sign = 0
     last_signed_p = None
+    last_a, last_d = -1, 1  # below every probability
     for p in grid:
+        a, d = p.numerator, p.denominator
+        # a/d > last_a/last_d, by cross-multiplying positive denominators
+        if a * last_d <= last_a * d:
+            raise ValueError("probability grid must be strictly ascending")
+        last_a, last_d = a, d
+        table = tables.get(d)
+        if table is None:
+            table = tables[d] = _scale(polynomials, prob.k, d, profile.n)
+        pending[d] -= 1
+        if not pending[d]:
+            del tables[d]
         # both availabilities share the denominator d^k * 2^n, so the sign
         # of their difference is the sign of the numerators' difference
-        sums = _cdf_numerators(k, p)
-        prob_n = _availability_numerator(profile, prob_t, sums)
-        majority_n = _availability_numerator(profile, majority_t, sums)
-        points.append(ComparisonPoint(p, prob_n, majority_n, sums[-1] << profile.n))
+        prob_n, majority_n = _evaluate(table, a)
+        points.append(ComparisonPoint(p, prob_n, majority_n, table[0]))
         sign = (prob_n > majority_n) - (prob_n < majority_n)
         if sign != 0:
             if last_sign != 0 and sign != last_sign:

@@ -129,22 +129,23 @@ def _split_ten(den: int) -> tuple[int, int, int]:
     return twos, fives, den
 
 
-def _decimals(numerators: Iterable[int], twos: int, fives: int, rest: int) -> list[str]:
-    """Each num / (2^twos * 5^fives * rest), num >= 0 and rest prime to 10,
-    as an exact decimal if it has one, else as a float repr.
-
-    The value is a finite decimal iff rest divides num.  Stripping trailing
-    zeros from num / rest scaled to 10^max(twos, fives) gives the text of the
-    reduced fraction.  Int true division rounds correctly, so the float is
-    the reduced fraction's.
-    """
+def _decimal_form(twos: int, fives: int, rest: int) -> tuple[int, int, int, int]:
+    """What `_format_decimals` needs for values over 2^twos * 5^fives * rest:
+    the decimal places, the scale to 10^places, rest, and the float divisor."""
     places = max(twos, fives)
     scale = (1 << (places - twos)) * 5 ** (places - fives)
+    return places, scale, rest, (rest * 5**fives) << twos
+
+
+def _format_decimals(
+    numerators: Iterable[int], places: int, scale: int, rest: int, divisor: int
+) -> list[str]:
+    """`_decimals` with the arguments of one denominator worked out once."""
     texts = []
     for num in numerators:
         if rest > 1:
             if num % rest:
-                texts.append(repr(num / ((rest * 5**fives) << twos)))
+                texts.append(repr(num / divisor))
                 continue
             num //= rest
         digits = _int_text(num * scale)
@@ -154,6 +155,18 @@ def _decimals(numerators: Iterable[int], twos: int, fives: int, rest: int) -> li
             digits = f"{whole}.{fractional}" if fractional else whole
         texts.append(digits)
     return texts
+
+
+def _decimals(numerators: Iterable[int], twos: int, fives: int, rest: int) -> list[str]:
+    """Each num / (2^twos * 5^fives * rest), num >= 0 and rest prime to 10,
+    as an exact decimal if it has one, else as a float repr.
+
+    The value is a finite decimal iff rest divides num.  Stripping trailing
+    zeros from num / rest scaled to 10^max(twos, fives) gives the text of the
+    reduced fraction.  Int true division rounds correctly, so the float is
+    the reduced fraction's.
+    """
+    return _format_decimals(numerators, *_decimal_form(twos, fives, rest))
 
 
 def _format_exact(x: Fraction) -> str:
@@ -401,26 +414,30 @@ def analytic_rows(
 ) -> list[str]:
     """The `analytic` CSV rows: p, 1 - p, both availabilities and both
     expected error counts over `trials` inputs.  For p = a/d each is printed
-    by `_decimals` from its integer numerator over d or d^k * 2^n; the
-    `_decimals` arguments of each distinct d are worked out once.
+    as `_decimals` prints its integer numerator over d or d^k * 2^n, with
+    the `_decimal_form` of each distinct d and of its d^k * 2^n worked out
+    once.
     """
-    scales = {}
+    forms = {}
     rows = []
     for point in points:
         a, d, den = point.p.numerator, point.p.denominator, point.denominator
-        if d not in scales:
+        if d not in forms:
             # d^k * 2^n = 2^(ka + n) * 5^(kb) * r^k for d = 2^a * 5^b * r
             twos, fives, rest = _split_ten(d)
-            scales[d] = (twos, fives, rest), (k * twos + n, k * fives, rest**k)
-        p_scale, value_scale = scales[d]
+            forms[d] = (
+                _decimal_form(twos, fives, rest),
+                _decimal_form(k * twos + n, k * fives, rest**k),
+            )
+        p_form, value_form = forms[d]
         numerators = (
             point.majority_numerator,
             point.prob_numerator,
             trials * (den - point.majority_numerator),
             trials * (den - point.prob_numerator),
         )
-        cells = _decimals((a, d - a), *p_scale)
-        cells += _decimals(numerators, *value_scale)
+        cells = _format_decimals((a, d - a), *p_form)
+        cells += _format_decimals(numerators, *value_form)
         cells.append("0")
         rows.append(",".join(cells))
     return rows

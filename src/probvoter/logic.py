@@ -290,8 +290,11 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
             deepest_at,
         )
     full = (1 << size) - 1
-    # no name keeps the masks, so they are freed before the text is built
-    result = _eval_mask(code, {name: _row_order_mask(j, n) for j, name in enumerate(order)}, full)
+    # masks only for the variables the expression uses; no name keeps them,
+    # so they are freed before the text is built
+    result = _eval_mask(
+        code, {name: _row_order_mask(j, n) for j, name in enumerate(order) if name in seen}, full
+    )
     # row order: the binary text lists row 0 first
     bits = format(result, f"0{size}b").encode("ascii")
     return TruthTable._from_bits(order, bits.translate(_FROM_ASCII))

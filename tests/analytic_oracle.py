@@ -7,9 +7,14 @@ ones against t, once per distinct (k, t, golden symbol), counts the
 patterns it recovers by their number of flips, and only then weights those
 counts by p.
 
-`analytic_csv` is the `analytic` command's CSV built one model at a time:
-`system_availability` and `expected_errors` per (voter, p), each value a
-reduced `Fraction` printed by `format_exact`.
+`partial_sum_coefficients` is the partial-sum form the power-basis
+coefficients of `probvoter.analytic` replaced, expanded term by term in
+a^i d^(k-i): the O(k^2) binomial expansion they are checked against.
+
+`analytic_csv` is the `analytic` command's CSV built one model at a time
+from `fraction_availability`, with errors = trials * (1 - A), each value a
+reduced `Fraction` printed by `format_exact`.  It shares no arithmetic
+with the program.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from probvoter.analytic import SystemModel, expected_errors, system_availability
 from probvoter.cli import CSV_HEADER
 from probvoter.voter import ErrorProfile, VoterTable, synthesize_majority, synthesize_probabilistic
 
@@ -40,6 +44,25 @@ def fraction_availability(profile: ErrorProfile, voter: VoterTable, p) -> Fracti
     w0 = Fraction(profile.n0, 1 << profile.n)
     w1 = Fraction(profile.n1, 1 << profile.n)
     return w0 * binomial_cdf(k, t - 1, p) + w1 * binomial_cdf(k, k - t, p)
+
+
+def partial_sum_coefficients(k: int, m: int) -> list[int]:
+    """Entry i: the coefficient of a^i d^(k-i) in the integer partial sum
+    S[m] = sum_{j <= m} C(k, j) a^j (d-a)^(k-j) = d^k * P[Binomial(k, a/d) <= m].
+    """
+    coefficients = [0] * (k + 1)
+    for j in range(m + 1):
+        # (d-a)^(k-j) = sum_l C(k-j, l) (-a)^l d^(k-j-l)
+        for l in range(k - j + 1):
+            coefficients[j + l] += comb(k, j) * comb(k - j, l) * (-1) ** l
+    return coefficients
+
+
+def expanded_power_coefficients(profile: ErrorProfile, k: int, t: int) -> list[int]:
+    """A(p) * d^k * 2^n = N0 S[t-1] + N1 S[k-t] in the basis a^i d^(k-i)."""
+    below_t = partial_sum_coefficients(k, t - 1)
+    below_mirror = partial_sum_coefficients(k, k - t)
+    return [profile.n0 * x + profile.n1 * y for x, y in zip(below_t, below_mirror)]
 
 
 @lru_cache(maxsize=None)
@@ -99,9 +122,8 @@ def analytic_csv(profile: ErrorProfile, k: int, tie_policy, grid, trials: int) -
     lines = [CSV_HEADER]
     for p in grid:
         p = Fraction(p)
-        models = [SystemModel(profile, voter, p) for voter in (majority, prob)]
-        values = [p, 1 - p]
-        values += [system_availability(model) for model in models]
-        values += [expected_errors(model, trials) for model in models]
+        availabilities = [fraction_availability(profile, voter, p) for voter in (majority, prob)]
+        values = [p, 1 - p, *availabilities]
+        values += [trials * (1 - availability) for availability in availabilities]
         lines.append(",".join(map(format_exact, values)) + ",0")
     return "\n".join(lines) + "\n"

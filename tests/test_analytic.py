@@ -1,14 +1,20 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from analytic_oracle import enumerated_availability, fraction_availability
+from analytic_oracle import (
+    enumerated_availability,
+    expanded_power_coefficients,
+    fraction_availability,
+)
 from probvoter.analytic import (
     SystemModel,
-    _availability_numerator,
+    _polynomial,
+    _power_coefficients,
     compare_and_crossover,
     expected_errors,
     module_availability,
@@ -246,18 +252,20 @@ def test_crossover_rejects_voters_of_different_k(two_ones):
 
 
 def _bernstein_difference(profile, k, t1, t2):
-    """Coefficients of 2^n (A_t2 - A_t1) in the basis B_j, read off the
-    closed form.
+    """Coefficients of 2^n (A_t2 - A_t1) in the basis B_j, converted from
+    the power-basis coefficients the availabilities are evaluated from.
 
-    `_availability_numerator` weighs the partial sums S[m] of the terms
-    C(k, j) a^j b^(k-j); fed the partial sums of the j-th unit vector it
-    gives the j-th coefficient.
+    With d = a + b, a^i d^(k-i) = sum_{j >= i} C(k-i, j-i) a^j b^(k-j),
+    and d^k B_j = C(k, j) a^j b^(k-j).
     """
-    units = [[int(m >= j) for m in range(k + 1)] for j in range(k + 1)]
-    return [
-        _availability_numerator(profile, t2, unit) - _availability_numerator(profile, t1, unit)
-        for unit in units
-    ]
+    low, high = (_power_coefficients(profile, k, t) for t in (t1, t2))
+    e = [y - x for x, y in zip(low, high)]
+    coefficients = []
+    for j in range(k + 1):
+        c, remainder = divmod(sum(e[i] * comb(k - i, j - i) for i in range(j + 1)), comb(k, j))
+        assert remainder == 0
+        coefficients.append(c)
+    return coefficients
 
 
 def _sign_changes(values):
@@ -312,3 +320,152 @@ def _voter_pairs(draw):
 def test_any_two_threshold_voters_cross_at_most_once(voters, grid):
     profile, first, second = voters
     assert len(compare_and_crossover(profile, first, second, grid).crossovers) <= 1
+
+
+# --- the power basis -------------------------------------------------------------
+#
+# A(p) d^k 2^n = sum_i e_i a^i d^(k-i) for p = a/d.  The runtime builds the
+# e_i from P[F <= m] = 1 + sum_{i > m} (-1)^(i-m) C(k, i) C(i-1, m) p^i; the
+# oracle expands the binomial partial sums term by term.
+
+_BASIS_PROFILES = [ErrorProfile(1, 2, 0), ErrorProfile(1, 0, 2), ErrorProfile(1, 1, 1)] + [
+    ErrorProfile(4, 3, 13),
+    ErrorProfile(4, 13, 3),
+    ErrorProfile(10, 449, 575),
+]
+
+
+def _masking_order(profile, k, t):
+    if profile.n1 == 0:
+        return t
+    if profile.n0 == 0:
+        return k - t + 1
+    return min(t, k - t + 1)
+
+
+@pytest.mark.parametrize("profile", _BASIS_PROFILES, ids=lambda p: f"{p.n0}-{p.n1}")
+def test_power_coefficients_expand_the_binomial_sums(profile):
+    for k in range(1, 17):
+        for t in range(1, k + 1):
+            e = _power_coefficients(profile, k, t)
+            assert list(e) == expanded_power_coefficients(profile, k, t), (k, t)
+            assert e[0] == 1 << profile.n
+            # the closed form of each coefficient, as the module docstring states it;
+            # adding 2k keeps each exponent non-negative, so the powers stay ints
+            for i in range(1, k + 1):
+                assert e[i] == comb(k, i) * (
+                    profile.n0 * (-1) ** (i - t + 1 + 2 * k) * comb(i - 1, t - 1)
+                    + profile.n1 * (-1) ** (i - k + t + 2 * k) * comb(i - 1, k - t)
+                )
+
+
+@pytest.mark.parametrize("profile", _BASIS_PROFILES, ids=lambda p: f"{p.n0}-{p.n1}")
+def test_first_nonzero_coefficient_is_the_masking_order(profile):
+    # 1 - A(p) = -sum_{i >= 1} e_i a^i d^(k-i) / (d^k 2^n) = Theta(p^r)
+    for k in range(1, 17):
+        for t in range(1, k + 1):
+            e = _power_coefficients(profile, k, t)
+            order = _masking_order(profile, k, t)
+            assert not any(e[1:order]), (k, t)
+            assert e[order] < 0, (k, t)
+            assert _polynomial(profile, VoterTable(k, t)) == (order, tuple(reversed(e[order:])))
+
+
+def test_the_higher_masking_order_leads_at_small_p():
+    # at p = 2^-64 the p^r term outweighs every higher one, so the voter that
+    # masks more flips is the more available: this is why majority leads a
+    # skewed probabilistic voter at small p
+    p = Fraction(1, 1 << 64)
+    for profile in _BASIS_PROFILES:
+        for k in range(1, 17):
+            for t1 in range(1, k + 1):
+                for t2 in range(t1 + 1, k + 1):
+                    r1, r2 = _masking_order(profile, k, t1), _masking_order(profile, k, t2)
+                    if r1 == r2:
+                        continue
+                    point = compare_and_crossover(
+                        profile, VoterTable(k, t1), VoterTable(k, t2), [p]
+                    ).points[0]
+                    # the second voter is passed as `prob`
+                    assert (point.prob_numerator > point.majority_numerator) == (r2 > r1)
+    profile = ErrorProfile(4, 14, 2)  # the README's 3-replica example
+    majority, prob = synthesize_majority(3), synthesize_probabilistic(profile, 3)
+    assert (_polynomial(profile, majority)[0], _polynomial(profile, prob)[0]) == (2, 1)
+    point = compare_and_crossover(profile, majority, prob, [Fraction(1, 100)]).points[0]
+    assert point.majority_numerator > point.prob_numerator
+
+
+def test_scan_drops_each_denominator_table_after_its_last_point():
+    # 1,000 distinct denominators: a table kept per denominator would hold
+    # about 1.5 MB next to the 0.26 MB of points the scan returns
+    profile = ErrorProfile(8, 225, 31)
+    grid = [Fraction(j, 2 * j + 1) for j in range(1, 1001)]
+    majority, prob = synthesize_majority(16, 1), synthesize_probabilistic(profile, 16)
+    compare_and_crossover(profile, majority, prob, grid)
+    tracemalloc.start()
+    try:
+        comparison = compare_and_crossover(profile, majority, prob, grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(comparison.points) == 1000
+    assert peak < 1.5 * kept, (peak, kept)
+
+
+# A 2^7000 denominator: d^k alone has up to 112,000 bits.
+_HUGE = (Fraction(1, 1 << 7000), Fraction((1 << 6999) - 1, 1 << 7000))
+
+
+@st.composite
+def _mixed_grids(draw):
+    """Sorted grids that mix repeated and distinct denominators, 0, 1 and
+    a point over 2^7000."""
+    points = set()
+    d = draw(st.sampled_from([3, 7, 12, 1000, 2000]))
+    points.update(Fraction(a, d) for a in draw(st.lists(st.integers(0, d), max_size=5)))
+    points.update(
+        draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**6), max_size=5))
+    )
+    points.update(draw(st.lists(st.sampled_from([Fraction(0), Fraction(1)]), max_size=2)))
+    # the Fraction oracle takes up to 0.3 s per voter at such a point
+    if draw(st.integers(0, 19)) == 0:
+        points.add(draw(st.sampled_from(_HUGE)))
+    if not points:
+        points.add(Fraction(1, 2))
+    return sorted(points)
+
+
+@settings(deadline=None, max_examples=100)
+@example(
+    (20, 1000), (16, 8), 15, sorted([0, 1, *_HUGE, Fraction(1, 7), Fraction(2, 7), Fraction(3, 10)])
+)
+@given(
+    st.integers(min_value=1, max_value=20).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.one_of(st.sampled_from([0, 1, (1 << n) - 1, 1 << n]), st.integers(0, 1 << n)),
+        )
+    ),
+    _replicas_and_threshold,
+    st.integers(min_value=1, max_value=16),
+    _mixed_grids(),
+)
+def test_scan_numerators_equal_the_fraction_oracle(shape, kt, t2, grid):
+    n, n1 = shape
+    profile = ErrorProfile(n, (1 << n) - n1, n1)
+    k, t1 = kt
+    majority, prob = VoterTable(k, t1), VoterTable(k, min(t2, k))
+    comparison = compare_and_crossover(profile, majority, prob, grid)
+    signs = []
+    for p, point in zip(grid, comparison.points):
+        denominator = p.denominator**k << n
+        assert (point.p, point.denominator) == (p, denominator)
+        prob_a = fraction_availability(profile, prob, p)
+        majority_a = fraction_availability(profile, majority, p)
+        assert point.prob_numerator == prob_a * denominator
+        assert point.majority_numerator == majority_a * denominator
+        signs.append(((prob_a > majority_a) - (prob_a < majority_a), p))
+    signed = [(sign, p) for sign, p in signs if sign]
+    assert comparison.crossovers == tuple(
+        (low, high) for (s1, low), (s2, high) in zip(signed, signed[1:]) if s1 != s2
+    )

@@ -8,6 +8,7 @@ Decimals too long for Python's int-to-str limit are compared through
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from decimal import Decimal
@@ -86,22 +87,66 @@ def test_analytic_csv_equals_the_per_model_oracle(tmp_path_factory, table, k, ti
     assert out.read_text() == analytic_csv(profile, k, tie_policy, grid, trials)
 
 
-def test_analytic_makes_one_binomial_pass_per_grid_point(monkeypatch, tmp_path):
-    calls = []
-    cdf_numerators = analytic._cdf_numerators
+def test_analytic_scales_once_per_denominator_and_evaluates_once_per_point(monkeypatch, tmp_path):
+    scalings, evaluations = [], []
+    scale, evaluate = analytic._scale, analytic._evaluate
 
-    def counted(k, p):
-        calls.append(p)
-        return cdf_numerators(k, p)
+    def counted_scale(polynomials, k, d, n):
+        scalings.append(d)
+        return scale(polynomials, k, d, n)
 
-    monkeypatch.setattr(analytic, "_cdf_numerators", counted)
-    grid = ["0.001", "1/7", "0.25", "1/3", "0.5"]
+    def counted_evaluate(table, a):
+        # one call evaluates both voters
+        evaluations.append((a, len(table[1])))
+        return evaluate(table, a)
+
+    monkeypatch.setattr(analytic, "_scale", counted_scale)
+    monkeypatch.setattr(analytic, "_evaluate", counted_evaluate)
+    # 7 recurs after 4 has come in between
+    grid = ["1/7", "0.25", "2/7", "3/7", "0.5"]
     code, _, err = _run(
         "analytic", "--expr", "a&b&!c", "-k", "16", "--tie-policy", "1",
         "--pe", ",".join(grid), "--out", str(tmp_path / "x.csv"),
     )
     assert code == 0, err
-    assert calls == [Fraction(p) for p in grid]
+    assert scalings == [7, 4, 2]
+    assert evaluations == [(Fraction(p).numerator, 2) for p in grid]
+
+
+# sha256 of the CSV and stdout of three `analytic` runs, taken from the
+# partial-sum evaluator this one replaced: the i/2000 grid, 1,000 distinct
+# denominators j/(2j+1), and one point over 2^7000.
+_GOLDEN_EXPR = "a&b&c&!d + e&f&g&h"
+_GOLDEN_RUNS = {
+    "fine": (
+        ["--expr", _GOLDEN_EXPR, "-k", "16", "--tie-policy", "1", "--trials", "5000",
+         "--pe", ",".join(f"{i}/2000" for i in range(1, 1001))],
+        "5413c6c247f59ab0846c14f53d516c03d1535251f0b787d4e4e6e458a8fa1479",
+        "8c3f53bdaa958b3c63d74f52b5b0ecb7081d5b45f21b158eba27a5c126c9f1fc",
+    ),
+    "dist": (
+        ["--expr", _GOLDEN_EXPR, "-k", "16", "--tie-policy", "1", "--trials", "5000",
+         "--pe", ",".join(f"{j}/{2 * j + 1}" for j in range(1, 1001))],
+        "911321c8bffb16a841f701681664be5405d2bbc7d485e3bfd2252f5f70df8332",
+        "bcb7ddf5d81a395218d48a24a171cfa86a07078f60baf453b6a461fe63d73baa",
+    ),
+    "big": (
+        ["--expr", "a&b", "-k", "16", "--tie-policy", "0", "--trials", "7",
+         "--pe", f"1/{1 << 7000}"],
+        "badd656a72547a5eae0d379ebe59078f27c8f76f41c47dfb51d310b0ddcbfb4b",
+        "59967ef1dfcd2775482f6265e57467735ade1ed004eaddaf732d8ef019919bfd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_analytic_output_matches_the_partial_sum_goldens(monkeypatch, tmp_path, name):
+    argv, csv_digest, stdout_digest = _GOLDEN_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = _run("analytic", *argv, "--out", f"{name}.csv")
+    assert code == 0, err
+    assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
 
 @settings(deadline=None, max_examples=400)

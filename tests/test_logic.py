@@ -498,3 +498,24 @@ def test_file_round_trip(table):
 def test_symbol_counts_cover_all_rows(table):
     n0, n1 = table.symbol_counts()
     assert n0 + n1 == 1 << table.arity
+
+
+def test_expression_builds_masks_only_for_the_variables_it_uses():
+    names = tuple(f"x{i}" for i in range(20))
+    size = 1 << 20
+    ones = int.from_bytes(b"\x01" * size, "big")
+
+    def column(j):
+        # one byte per row, row 0 first: variable j is bit 19 - j of the row index
+        half = 1 << (19 - j)
+        return int.from_bytes((b"\x00" * half + b"\x01" * half) * (size // (2 * half)), "big")
+
+    x0, x3, x17 = column(0), column(3), column(17)
+    expected = ((x3 & (x17 ^ ones)) | (x3 & x0)).to_bytes(size, "big")
+    text = "x3 & !x17 + x3&x0"
+    assert parse_expression(text, names) == TruthTable(names, expected)
+    # the row text and its 0/1 bytes, 1 MiB each, with the three 128 KiB
+    # masks freed before them; one mask per declared variable peaked at
+    # 3,129,693 bytes
+    peak = _traced_peak(lambda: parse_expression(text, names))
+    assert peak < 2.5 * 2**20, f"traced peak {peak} bytes"
