@@ -23,6 +23,8 @@ from probvoter.cli import DEFAULT_PE, main as cli_main
 from probvoter.logic import TruthTable, parse_expression, parse_table_file, serialize_table
 from probvoter.sim import DEFAULT_SEED, DEFAULT_TRIALS, SimConfig, run_sweep
 from probvoter.voter import (
+    ErrorProfile,
+    VoterTable,
     emit_threshold_sop,
     error_profile,
     synthesize_majority,
@@ -45,23 +47,18 @@ FIXTURES = (
 SPOT_CHECKS = (Fraction(1, 20), Fraction(1, 8), Fraction(3, 10), Fraction(1, 2))
 
 
-def describe_voters(fixture: Fixture) -> None:
-    profile = error_profile(fixture.table)
+def describe_voters(fixture: Fixture, profile: ErrorProfile, majority: VoterTable, prob: VoterTable) -> None:
     size = 1 << profile.n
     print(f"== {fixture.name} (k={fixture.k}) ==")
     print(f"profile: N0={profile.n0} N1={profile.n1} E0={profile.n1}/{size} E1={profile.n0}/{size}")
-    for label, voter in (
-        ("majority", synthesize_majority(fixture.k)),
-        ("probabilistic", synthesize_probabilistic(profile, fixture.k)),
-    ):
+    for label, voter in (("majority", majority), ("probabilistic", prob)):
         expression, metrics = emit_threshold_sop(voter)
         print(f"{label}: t={voter.threshold}  {metrics.terms} terms / {metrics.literals} literals  y = {expression}")
 
 
-def spot_check(fixture: Fixture, trials: int, seed: int) -> None:
-    profile = error_profile(fixture.table)
-    majority = synthesize_majority(fixture.k)
-    prob = synthesize_probabilistic(profile, fixture.k)
+def spot_check(
+    fixture: Fixture, profile: ErrorProfile, majority: VoterTable, prob: VoterTable, trials: int, seed: int
+) -> None:
     config = SimConfig(
         function=fixture.table,
         k=fixture.k,
@@ -118,8 +115,11 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     for fixture in FIXTURES:
-        describe_voters(fixture)
-        spot_check(fixture, args.trials, args.seed)
+        profile = error_profile(fixture.table)
+        majority = synthesize_majority(fixture.k)
+        prob = synthesize_probabilistic(profile, fixture.k)
+        describe_voters(fixture, profile, majority, prob)
+        spot_check(fixture, profile, majority, prob, args.trials, args.seed)
         emit_artifacts(fixture, args.outdir, args.trials, args.seed)
     print(f"CSV, manifest and gnuplot artifacts in {args.outdir}/")
 

@@ -118,34 +118,42 @@ def _int_text(n: int) -> str:
     return str(convert(n))
 
 
-def _split_ten(den: int) -> tuple[int, int, int]:
-    """(a, b, r) with den = 2^a * 5^b * r and r prime to 10."""
+def _decimal_form(den: int) -> tuple[int, int, int, int]:
+    """What `_format_decimals` needs for values over den = 2^a * 5^b * r,
+    r prime to 10: the decimal places max(a, b), the scale to 10^places, r,
+    and den."""
     twos = (den & -den).bit_length() - 1
-    den >>= twos
+    rest = den >> twos
+    # 5^(2^i) for as long as it divides, then divided out from the largest
+    # down: dividing by 5 once per factor is quadratic in den's length, and
+    # a --pe of 5,000 decimal places makes a k=16 denominator of 80,000 fives
+    powers = [5]
+    while rest % powers[-1] == 0:
+        powers.append(powers[-1] ** 2)
     fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    return twos, fives, den
-
-
-def _decimal_form(twos: int, fives: int, rest: int) -> tuple[int, int, int, int]:
-    """What `_format_decimals` needs for values over 2^twos * 5^fives * rest:
-    the decimal places, the scale to 10^places, rest, and the float divisor."""
+    for i in range(len(powers) - 2, -1, -1):
+        if rest % powers[i] == 0:
+            rest //= powers[i]
+            fives += 1 << i
     places = max(twos, fives)
-    scale = (1 << (places - twos)) * 5 ** (places - fives)
-    return places, scale, rest, (rest * 5**fives) << twos
+    return places, (1 << (places - twos)) * 5 ** (places - fives), rest, den
 
 
-def _format_decimals(
-    numerators: Iterable[int], places: int, scale: int, rest: int, divisor: int
-) -> list[str]:
-    """`_decimals` with the arguments of one denominator worked out once."""
+def _format_decimals(numerators: Iterable[int], form: tuple[int, int, int, int]) -> list[str]:
+    """Each num / den, num >= 0, for `form` = `_decimal_form(den)`: an exact
+    decimal if it has one, else a float repr.
+
+    With den = 2^a * 5^b * r and r prime to 10, the value is a finite
+    decimal iff r divides num.  Stripping trailing zeros from num / r scaled
+    to 10^max(a, b) gives the text of the reduced fraction.  Int true
+    division rounds correctly, so the float is the reduced fraction's.
+    """
+    places, scale, rest, den = form
     texts = []
     for num in numerators:
         if rest > 1:
             if num % rest:
-                texts.append(repr(num / divisor))
+                texts.append(repr(num / den))
                 continue
             num //= rest
         digits = _int_text(num * scale)
@@ -157,21 +165,9 @@ def _format_decimals(
     return texts
 
 
-def _decimals(numerators: Iterable[int], twos: int, fives: int, rest: int) -> list[str]:
-    """Each num / (2^twos * 5^fives * rest), num >= 0 and rest prime to 10,
-    as an exact decimal if it has one, else as a float repr.
-
-    The value is a finite decimal iff rest divides num.  Stripping trailing
-    zeros from num / rest scaled to 10^max(twos, fives) gives the text of the
-    reduced fraction.  Int true division rounds correctly, so the float is
-    the reduced fraction's.
-    """
-    return _format_decimals(numerators, *_decimal_form(twos, fives, rest))
-
-
 def _format_exact(x: Fraction) -> str:
     """Exact decimal of x >= 0 if it has one, else float repr."""
-    return _decimals((x.numerator,), *_split_ten(x.denominator))[0]
+    return _format_decimals((x.numerator,), _decimal_form(x.denominator))[0]
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -409,35 +405,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def analytic_rows(
-    points: Iterable[ComparisonPoint], k: int, n: int, trials: int
-) -> list[str]:
+def analytic_rows(points: Iterable[ComparisonPoint], trials: int) -> list[str]:
     """The `analytic` CSV rows: p, 1 - p, both availabilities and both
-    expected error counts over `trials` inputs.  For p = a/d each is printed
-    as `_decimals` prints its integer numerator over d or d^k * 2^n, with
-    the `_decimal_form` of each distinct d and of its d^k * 2^n worked out
-    once.
+    expected error counts over `trials` inputs.  For p = a/d, p and 1 - p
+    are printed by `_format_decimals` from their numerators over d, and the
+    other four from theirs over the point's own denominator; the
+    `_decimal_form` of each distinct pair of the two is worked out once.
     """
     forms = {}
     rows = []
     for point in points:
         a, d, den = point.p.numerator, point.p.denominator, point.denominator
-        if d not in forms:
-            # d^k * 2^n = 2^(ka + n) * 5^(kb) * r^k for d = 2^a * 5^b * r
-            twos, fives, rest = _split_ten(d)
-            forms[d] = (
-                _decimal_form(twos, fives, rest),
-                _decimal_form(k * twos + n, k * fives, rest**k),
-            )
-        p_form, value_form = forms[d]
+        if (d, den) not in forms:
+            forms[d, den] = _decimal_form(d), _decimal_form(den)
+        p_form, value_form = forms[d, den]
         numerators = (
             point.majority_numerator,
             point.prob_numerator,
             trials * (den - point.majority_numerator),
             trials * (den - point.prob_numerator),
         )
-        cells = _format_decimals((a, d - a), *p_form)
-        cells += _format_decimals(numerators, *value_form)
+        cells = _format_decimals((a, d - a), p_form)
+        cells += _format_decimals(numerators, value_form)
         cells.append("0")
         rows.append(",".join(cells))
     return rows
@@ -451,7 +440,7 @@ def cmd_analytic(args) -> int:
         comparison = compare_and_crossover(sweep.profile, sweep.majority, sweep.prob, sweep.grid)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
-    rows = analytic_rows(comparison.points, args.replicas, sweep.profile.n, args.trials)
+    rows = analytic_rows(comparison.points, args.trials)
     _write_sweep(args, sweep, rows)
     for low, high in comparison.crossovers:
         print(f"crossover: pe in ({_format_exact(low)}, {_format_exact(high)})")
@@ -519,6 +508,11 @@ def cmd_plot(args) -> int:
     data_path = out.with_suffix(".dat")
     if data_path == out:
         raise _CliError("--out must not itself end in .dat", EXIT_CONFIG)
+    # checked before the first write, so a directory in the way of a later
+    # file leaves none of the three behind
+    for path in (data_path, out, Path(f"{out}.manifest.json")):
+        if path.is_dir():
+            raise _CliError(f"cannot write {path}: it is a directory", EXIT_CONFIG)
     data_lines = ["# " + CSV_HEADER.replace(",", " ")]
     data_lines.extend(" ".join(parts) for parts in rows)
     _write_text(str(data_path), "\n".join(data_lines) + "\n")

@@ -659,6 +659,21 @@ def test_plot_rejects_out_without_file_name(capsys, tmp_path, out):
     assert err == f"probvoter: --out {out!r} has no file name\n"
 
 
+@pytest.mark.parametrize(
+    "out, directory",
+    [("figs", "figs"), ("figs/", "figs"), ("fig.gp", "fig.dat"), ("fig.gp", "fig.gp.manifest.json")],
+)
+def test_plot_out_onto_a_directory_writes_nothing(capsys, monkeypatch, tmp_path, out, directory):
+    monkeypatch.chdir(tmp_path)
+    Path("exact.csv").write_text(CSV_HEADER + "\n0.1,0.9,0.9,0.9,1,2,100\n")
+    Path(directory).mkdir()
+    code, stdout, err = run(capsys, "plot", "exact.csv", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"probvoter: cannot write {directory}: it is a directory\n"
+    assert sorted(os.listdir()) == sorted(["exact.csv", directory])
+    assert os.listdir(directory) == []
+
+
 def test_plot_missing_csv(capsys, tmp_path):
     code, _, _ = run(capsys, "plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.gp"))
     assert code == 3

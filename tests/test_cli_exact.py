@@ -10,7 +10,9 @@ Decimals too long for Python's int-to-str limit are compared through
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,8 +23,14 @@ from hypothesis import strategies as st
 from analytic_oracle import analytic_csv, format_exact
 from cli_oracle import parse_pe_grid
 from probvoter import analytic, cli
-from probvoter.analytic import SystemModel, compare_and_crossover, expected_errors, system_availability
-from probvoter.cli import MAX_TRIALS, _decimals, _int_text, main
+from probvoter.analytic import (
+    ComparisonPoint,
+    SystemModel,
+    compare_and_crossover,
+    expected_errors,
+    system_availability,
+)
+from probvoter.cli import MAX_TRIALS, _decimal_form, _format_decimals, _int_text, main
 from probvoter.logic import parse_expression, parse_table_file
 from probvoter.voter import error_profile, synthesize_majority, synthesize_probabilistic
 
@@ -149,25 +157,40 @@ def test_analytic_output_matches_the_partial_sum_goldens(monkeypatch, tmp_path, 
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
 
-@settings(deadline=None, max_examples=400)
-@given(
+# (den, r, k): values over d^k * 2^n, as in an analytic row, for
+# d = 2^a * 5^b * r
+_ROW_DENOMINATORS = st.builds(
+    lambda a, b, r, k, n: ((2**a * 5**b * r) ** k << n, r, k),
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=0, max_value=8),
     st.sampled_from([1, 3, 7, 9, 999]),
     st.integers(min_value=1, max_value=16),
     st.integers(min_value=0, max_value=8),
-    st.data(),
 )
-def test_decimals_equal_the_reduced_fraction_text(twos, fives, rest, k, n, data):
-    # values over d^k * 2^n, as in an analytic row, for d = 2^twos * 5^fives * rest
-    den = (2**twos * 5**fives * rest) ** k << n
+# (den, r, 1): any den = 2^a * 5^b * r with r prime to 10
+_ANY_DENOMINATORS = st.builds(
+    lambda a, b, r: ((r * 5**b) << a, r, 1),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=300),
+    st.builds(
+        lambda high, low: 10 * high + low,
+        st.integers(min_value=0, max_value=10**29 - 1),
+        st.sampled_from([1, 3, 7, 9]),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=800)
+@given(st.one_of(_ROW_DENOMINATORS, _ANY_DENOMINATORS), st.data())
+def test_decimals_equal_the_reduced_fraction_text(denominator, data):
+    den, rest, k = denominator
     # num is a multiple of rest^j: a finite decimal iff rest^k divides it
     factor = rest ** data.draw(st.integers(min_value=0, max_value=k))
     numerators = data.draw(
         st.lists(st.integers(min_value=0, max_value=5000 * den // factor), min_size=1, max_size=4)
     )
     numerators = [m * factor for m in numerators]
-    texts = _decimals(numerators, k * twos + n, k * fives, rest**k)
+    texts = _format_decimals(numerators, _decimal_form(den))
     assert texts == [format_exact(Fraction(m, den)) for m in numerators]
 
 
@@ -183,8 +206,35 @@ def test_analytic_rows_build_no_fraction(monkeypatch):
         raise AssertionError("an analytic row built a Fraction")
 
     monkeypatch.setattr(cli, "Fraction", refuse)
-    rows = cli.analytic_rows(comparison.points, 16, profile.n, 5000)
+    rows = cli.analytic_rows(comparison.points, 5000)
     assert rows == expected
+
+
+def test_analytic_rows_print_over_any_point_denominator():
+    # none of these is d^k * 2^n for the point's d; 1/3 and 2/3 share d = 3
+    # over two different denominators
+    trials = 3
+    points, values = [], []
+    for p, den in (
+        (Fraction(1, 3), 3 * 10**4),
+        (Fraction(2, 3), 2**3 * 5**9 * 11),
+        (Fraction(1, 8), 2**7000 * 3),
+    ):
+        for majority, prob in itertools.product((0, den - 1, den), repeat=2):
+            points.append(ComparisonPoint(p, prob, majority, den))
+            values.append((
+                p, 1 - p, Fraction(majority, den), Fraction(prob, den),
+                Fraction(trials * (den - majority), den), Fraction(trials * (den - prob), den),
+            ))
+    # the oracle's str() of 1/2^7000's 4,893-digit scaled int needs Python's
+    # int-to-str limit lifted; the CLI's text runs under the default one
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [",".join([*map(format_exact, row), "0"]) for row in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert cli.analytic_rows(points, trials) == expected
 
 
 @pytest.mark.parametrize(
