@@ -156,11 +156,18 @@ def _format_decimals(numerators: Iterable[int], form: tuple[int, int, int, int])
                 texts.append(repr(num / den))
                 continue
             num //= rest
-        digits = _int_text(num * scale)
+        num *= scale
+        digits = str(num) if num < _TEXT_LIMIT else _int_text(num)
         if places:
-            digits = digits.rjust(places + 1, "0")
-            whole, fractional = digits[:-places], digits[-places:].rstrip("0")
-            digits = f"{whole}.{fractional}" if fractional else whole
+            # digits has no leading zero: a value below 1 is "0.", the
+            # zeros its digits fall short of `places` by, then the digits
+            cut = len(digits) - places
+            if cut > 0:
+                fractional = digits[cut:].rstrip("0")
+                digits = f"{digits[:cut]}.{fractional}" if fractional else digits[:cut]
+            else:
+                fractional = digits.rstrip("0")
+                digits = f"0.{'0' * -cut}{fractional}" if fractional else "0"
         texts.append(digits)
     return texts
 
@@ -172,6 +179,8 @@ def _format_exact(x: Fraction) -> str:
 
 def _fraction_text(x: Fraction) -> str:
     """str(x) for a Fraction x >= 0 of any size."""
+    if x.numerator < _TEXT_LIMIT and x.denominator < _TEXT_LIMIT:
+        return str(x)
     if x.denominator == 1:
         return _int_text(x.numerator)
     return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
@@ -193,7 +202,10 @@ def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
                     # fails int()'s digit limit exactly where Fraction would
                     whole, digits = plain.groups()
                     scale = 10 ** len(digits)
-                    value = Fraction(int(whole or "0") * scale + int(digits), scale)
+                    numerator = int(whole or "0") * scale + int(digits)
+                    if numerator > scale:
+                        raise _CliError(f"probability {part} is outside [0, 1]", EXIT_CONFIG)
+                    value = Fraction(numerator, scale)
                 else:
                     exponent = _EXPONENT_RE.search(part)
                     if exponent and abs(int(exponent.group(1))) > MAX_PE_EXPONENT:
@@ -202,10 +214,10 @@ def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
                             EXIT_CONFIG,
                         )
                     value = Fraction(part)
+                    if not 0 <= value.numerator <= value.denominator:
+                        raise _CliError(f"probability {part} is outside [0, 1]", EXIT_CONFIG)
             except (ValueError, ZeroDivisionError):
                 raise _CliError(f"cannot parse probability {part!r}", EXIT_CONFIG) from None
-            if not 0 <= value.numerator <= value.denominator:
-                raise _CliError(f"probability {part} is outside [0, 1]", EXIT_CONFIG)
             values.append(value)
     return tuple(values)
 
@@ -255,6 +267,15 @@ def _write_bytes(path: str, *parts: bytes) -> None:
 
 def _write_text(path: str, text: str) -> None:
     _write_bytes(path, text.encode("utf-8"))
+
+
+def _refuse_directories(*paths) -> None:
+    """Exit 2 if any of `paths` is a directory.  Called before a command's
+    first write, so a directory in the way of a later file leaves none of
+    the earlier ones behind."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise _CliError(f"cannot write {path}: it is a directory", EXIT_CONFIG)
 
 
 # A function's output line holds only '0' and '1', which JSON writes as they
@@ -351,6 +372,7 @@ def _load_sweep(args) -> _Sweep:
 
 def _write_sweep(args, sweep: _Sweep, rows: list[str], **manifest) -> None:
     """Write the CSV and its manifest; `manifest` adds command-specific keys."""
+    _refuse_directories(args.out, f"{args.out}.manifest.json")
     _write_text(args.out, "\n".join([CSV_HEADER, *rows]) + "\n")
     _write_manifest(
         args.out,
@@ -508,11 +530,7 @@ def cmd_plot(args) -> int:
     data_path = out.with_suffix(".dat")
     if data_path == out:
         raise _CliError("--out must not itself end in .dat", EXIT_CONFIG)
-    # checked before the first write, so a directory in the way of a later
-    # file leaves none of the three behind
-    for path in (data_path, out, Path(f"{out}.manifest.json")):
-        if path.is_dir():
-            raise _CliError(f"cannot write {path}: it is a directory", EXIT_CONFIG)
+    _refuse_directories(data_path, out, f"{out}.manifest.json")
     data_lines = ["# " + CSV_HEADER.replace(",", " ")]
     data_lines.extend(" ".join(parts) for parts in rows)
     _write_text(str(data_path), "\n".join(data_lines) + "\n")

@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .logic import TruthTable
-from .voter import VoterTable, check_replica_count
+from .voter import VoterTable, _check_int, check_replica_count
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -132,8 +132,10 @@ class SimConfig:
             raise ValueError("need at least one flip probability")
         if any(not 0 <= pe <= 1 for pe in self.pe_values):
             raise ValueError("flip probabilities must be in [0, 1]")
+        _check_int("trial count", self.trials)
         if self.trials < 1:
             raise ValueError(f"trial count must be positive, got {self.trials}")
+        _check_int("master seed", self.master_seed)
         if not 0 <= self.master_seed < 1 << 64:
             raise ValueError("master seed must be a 64-bit unsigned integer")
 

@@ -674,6 +674,20 @@ def test_plot_out_onto_a_directory_writes_nothing(capsys, monkeypatch, tmp_path,
     assert os.listdir(directory) == []
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize("directory", ["x.csv", "x.csv.manifest.json"])
+def test_sweep_out_onto_a_directory_writes_nothing(capsys, monkeypatch, tmp_path, command, directory):
+    monkeypatch.chdir(tmp_path)
+    Path(directory).mkdir()
+    code, stdout, err = run(
+        capsys, command, "--expr", "a&b", "--pe", "0.1", "--trials", "10", "--out", "x.csv"
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"probvoter: cannot write {directory}: it is a directory\n"
+    assert os.listdir() == [directory]
+    assert os.listdir(directory) == []
+
+
 def test_plot_missing_csv(capsys, tmp_path):
     code, _, _ = run(capsys, "plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.gp"))
     assert code == 3

@@ -123,7 +123,8 @@ def test_analytic_scales_once_per_denominator_and_evaluates_once_per_point(monke
 
 # sha256 of the CSV and stdout of three `analytic` runs, taken from the
 # partial-sum evaluator this one replaced: the i/2000 grid, 1,000 distinct
-# denominators j/(2j+1), and one point over 2^7000.
+# denominators j/(2j+1), and one point over 2^7000.  The third is the
+# manifest's, which also holds the package version (0.1.0).
 _GOLDEN_EXPR = "a&b&c&!d + e&f&g&h"
 _GOLDEN_RUNS = {
     "fine": (
@@ -131,30 +132,35 @@ _GOLDEN_RUNS = {
          "--pe", ",".join(f"{i}/2000" for i in range(1, 1001))],
         "5413c6c247f59ab0846c14f53d516c03d1535251f0b787d4e4e6e458a8fa1479",
         "8c3f53bdaa958b3c63d74f52b5b0ecb7081d5b45f21b158eba27a5c126c9f1fc",
+        "5025ec8ad77910763c7ce933ccd5269c79c399340711b2a11e5a3a3392c85b36",
     ),
     "dist": (
         ["--expr", _GOLDEN_EXPR, "-k", "16", "--tie-policy", "1", "--trials", "5000",
          "--pe", ",".join(f"{j}/{2 * j + 1}" for j in range(1, 1001))],
         "911321c8bffb16a841f701681664be5405d2bbc7d485e3bfd2252f5f70df8332",
         "bcb7ddf5d81a395218d48a24a171cfa86a07078f60baf453b6a461fe63d73baa",
+        "d86c808075d5a888350f6a677c482384f5e94d769787c44bf936ce3e69db089c",
     ),
     "big": (
         ["--expr", "a&b", "-k", "16", "--tie-policy", "0", "--trials", "7",
          "--pe", f"1/{1 << 7000}"],
         "badd656a72547a5eae0d379ebe59078f27c8f76f41c47dfb51d310b0ddcbfb4b",
         "59967ef1dfcd2775482f6265e57467735ade1ed004eaddaf732d8ef019919bfd",
+        "cc2718ba7488a06cac557542d606d4ee9edfab33d57622815da40e09a1c40774",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
 def test_analytic_output_matches_the_partial_sum_goldens(monkeypatch, tmp_path, name):
-    argv, csv_digest, stdout_digest = _GOLDEN_RUNS[name]
+    argv, csv_digest, stdout_digest, manifest_digest = _GOLDEN_RUNS[name]
     monkeypatch.chdir(tmp_path)
     code, stdout, err = _run("analytic", *argv, "--out", f"{name}.csv")
     assert code == 0, err
     assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_digest
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
+    manifest = (tmp_path / f"{name}.csv.manifest.json").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == manifest_digest
 
 
 # (den, r, k): values over d^k * 2^n, as in an analytic row, for
@@ -167,11 +173,13 @@ _ROW_DENOMINATORS = st.builds(
     st.integers(min_value=1, max_value=16),
     st.integers(min_value=0, max_value=8),
 )
-# (den, r, 1): any den = 2^a * 5^b * r with r prime to 10
+# (den, r, 1): any den = 2^a * 5^b * r with r prime to 10; a and b are
+# often below 4, so one, two and three places come up as well as many
+_FEW_OR_MANY = st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=300))
 _ANY_DENOMINATORS = st.builds(
     lambda a, b, r: ((r * 5**b) << a, r, 1),
-    st.integers(min_value=0, max_value=300),
-    st.integers(min_value=0, max_value=300),
+    _FEW_OR_MANY,
+    _FEW_OR_MANY,
     st.builds(
         lambda high, low: 10 * high + low,
         st.integers(min_value=0, max_value=10**29 - 1),
@@ -179,9 +187,19 @@ _ANY_DENOMINATORS = st.builds(
     ),
 )
 
+# (den, r, 1) with 600 to 5,000 places, so the scaled numerators pass both
+# 10^600, where the text goes through `_int_text`, and Python's 4,300-digit
+# int-to-str limit
+_LONG_DENOMINATORS = st.builds(
+    lambda a, b, r: ((r * 5**b) << a, r, 1),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=600, max_value=5000),
+    st.sampled_from([1, 3, 7, 9]),
+)
+
 
 @settings(deadline=None, max_examples=800)
-@given(st.one_of(_ROW_DENOMINATORS, _ANY_DENOMINATORS), st.data())
+@given(st.one_of(_ROW_DENOMINATORS, _ANY_DENOMINATORS, _LONG_DENOMINATORS), st.data())
 def test_decimals_equal_the_reduced_fraction_text(denominator, data):
     den, rest, k = denominator
     # num is a multiple of rest^j: a finite decimal iff rest^k divides it
@@ -191,7 +209,15 @@ def test_decimals_equal_the_reduced_fraction_text(denominator, data):
     )
     numerators = [m * factor for m in numerators]
     texts = _format_decimals(numerators, _decimal_form(den))
-    assert texts == [format_exact(Fraction(m, den)) for m in numerators]
+    # the oracle's str() needs the int-to-str limit lifted; the CLI's text
+    # above was made under the default one
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [format_exact(Fraction(m, den)) for m in numerators]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert texts == expected
 
 
 def test_analytic_rows_build_no_fraction(monkeypatch):

@@ -239,6 +239,19 @@ def test_config_validation(two_ones):
         SimConfig(**{**good, "master_seed": -1})
 
 
+@pytest.mark.parametrize("field, name", [("trials", "trial count"), ("master_seed", "master seed")])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, False, Fraction(3), "3", None])
+def test_trials_and_seed_must_be_plain_ints(two_ones, field, name, value):
+    good = dict(
+        function=two_ones,
+        k=3,
+        voters=(("majority", synthesize_majority(3)),),
+        pe_values=(Fraction(1, 10),),
+    )
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(value).__name__}$"):
+        SimConfig(**{**good, field: value})
+
+
 def _table(n: int, bits: int) -> TruthTable:
     # bit i of `bits` is the output for row i
     outputs = tuple(map(int, reversed(format(bits, f"0{1 << n}b"))))
