@@ -371,8 +371,8 @@ def _load_sweep(args) -> _Sweep:
 
 
 def _write_sweep(args, sweep: _Sweep, rows: list[str], **manifest) -> None:
-    """Write the CSV and its manifest; `manifest` adds command-specific keys."""
-    _refuse_directories(args.out, f"{args.out}.manifest.json")
+    """Write the CSV and its manifest; `manifest` adds command-specific keys.
+    The command has already refused a directory at either path."""
     _write_text(args.out, "\n".join([CSV_HEADER, *rows]) + "\n")
     _write_manifest(
         args.out,
@@ -407,6 +407,7 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
+    _refuse_directories(args.out, f"{args.out}.manifest.json")
     records = run_sweep(config)
     rows = [
         ",".join(
@@ -458,6 +459,7 @@ def cmd_analytic(args) -> int:
     sweep = _load_sweep(args)
     if args.trials < 0:
         raise _CliError(f"trial count must be non-negative, got {args.trials}", EXIT_CONFIG)
+    _refuse_directories(args.out, f"{args.out}.manifest.json")
     try:
         comparison = compare_and_crossover(sweep.profile, sweep.majority, sweep.prob, sweep.grid)
     except ValueError as exc:

@@ -165,21 +165,18 @@ def _replica_names(k: int) -> tuple[str, ...]:
     return tuple(f"y{i}" for i in range(1, k + 1))
 
 
-def _pattern_texts(bits: Sequence[tuple[str, str]]) -> list[tuple[str, int]]:
-    """For each pattern over len(bits) positions, ascending: its text and popcount.
+def _pattern_texts(bits: Sequence[tuple[str, str]]) -> list[str]:
+    """The text of each pattern over len(bits) positions, ascending.
 
     Position j (the first is the MSB) writes bits[j][0] for a 0 and bits[j][1]
-    for a 1.  Built by doubling: appending a position after pattern p gives
-    2p (its 0 text) then 2p + 1 (its 1 text).
+    for a 1, so the text at index p has p.bit_count() ones.  Built by
+    doubling: appending a position after pattern p gives 2p (its 0 text) then
+    2p + 1 (its 1 text).
     """
-    patterns = [("", 0)]
-    for zero, one in bits:
-        patterns = [
-            entry
-            for text, ones in patterns
-            for entry in ((text + zero, ones), (text + one, ones + 1))
-        ]
-    return patterns
+    texts = [""]
+    for pair in bits:
+        texts = [text + bit for text in texts for bit in pair]
+    return texts
 
 
 def minterm_sop_blocks(voter: VoterTable) -> Iterator[str]:
@@ -195,10 +192,10 @@ def minterm_sop_blocks(voter: VoterTable) -> Iterator[str]:
     split = (voter.k + 1) // 2
     t = voter.threshold
     literals = [("&!" + name, "&" + name) for name in _replica_names(voter.k)]
-    low = _pattern_texts(literals[split:])
+    low = [(text, p.bit_count()) for p, text in enumerate(_pattern_texts(literals[split:]))]
     low_at_least = [[text for text, ones in low if ones >= count] for count in range(t + 1)]
-    for high_text, high_ones in _pattern_texts(literals[:split]):
-        lows = low_at_least[max(t - high_ones, 0)]
+    for high, high_text in enumerate(_pattern_texts(literals[:split])):
+        lows = low_at_least[max(t - high.bit_count(), 0)]
         if lows:
             head = high_text[1:]
             yield head + (" + " + head).join(lows)
@@ -209,6 +206,36 @@ def emit_minterm_sop(voter: VoterTable) -> str:
     return " + ".join(minterm_sop_blocks(voter))
 
 
+def _threshold_sop_blocks(voter: VoterTable) -> Iterator[str]:
+    """The t-subset terms in `combinations` order, in blocks joined by " + ".
+
+    Among subsets of one size, `combinations` order is descending pattern
+    order (y1 is the MSB), so a subset's high ceil(k/2) names are walked in
+    descending pattern order and each high subset with h names is joined to
+    every (t - h)-subset of the low names, in `combinations` order.  The low
+    subsets of each size are joined once, on first use.
+    """
+    split = (voter.k + 1) // 2
+    t = voter.threshold
+    names = _replica_names(voter.k)
+    low_names = names[split:]
+    lows_by_size = {}
+    heads = _pattern_texts([("", "&" + name) for name in names[:split]])
+    for high in range(len(heads) - 1, -1, -1):
+        size = t - high.bit_count()
+        if not 0 <= size <= len(low_names):
+            continue
+        head = heads[high][1:]
+        if size == 0:
+            yield head
+            continue
+        lows = lows_by_size.get(size)
+        if lows is None:
+            lows = lows_by_size[size] = list(map("&".join, combinations(low_names, size)))
+        # an empty head takes all t names from the low half, with no "&" before them
+        yield head + "&" + (" + " + head + "&").join(lows) if head else " + ".join(lows)
+
+
 def emit_threshold_sop(voter: VoterTable) -> tuple[str, SopMetrics]:
     """Minimal SOP of a t-of-k threshold: one positive term per t-subset.
 
@@ -216,8 +243,7 @@ def emit_threshold_sop(voter: VoterTable) -> tuple[str, SopMetrics]:
     """
     t = voter.threshold
     terms = comb(voter.k, t)
-    expression = " + ".join(map("&".join, combinations(_replica_names(voter.k), t)))
-    return expression, SopMetrics(terms, t * terms)
+    return " + ".join(_threshold_sop_blocks(voter)), SopMetrics(terms, t * terms)
 
 
 def render_generic_table(k: int) -> str:
@@ -254,8 +280,9 @@ def render_generic_table(k: int) -> str:
     split = (k + 1) // 2
     # A bit is one character, never wider than its replica's name.
     bits = [("0".ljust(len(name)) + "  ", "1".ljust(len(name)) + "  ") for name in names]
-    low = _pattern_texts(bits[split:])
+    low = [(text, p.bit_count()) for p, text in enumerate(_pattern_texts(bits[split:]))]
     lines = ["".join(name + "  " for name in names) + cells(header)]
-    for high_text, high_ones in _pattern_texts(bits[:split]):
+    for high, high_text in enumerate(_pattern_texts(bits[:split])):
+        high_ones = high.bit_count()
         lines.extend(high_text + text + tail_texts[high_ones + ones] for text, ones in low)
     return "\n".join(lines)

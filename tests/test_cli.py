@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from probvoter import cli
 from probvoter.cli import CSV_HEADER, main
 from probvoter.logic import parse_expression, serialize_table
 from probvoter.sim import AvailabilityRecord
@@ -677,6 +678,12 @@ def test_plot_out_onto_a_directory_writes_nothing(capsys, monkeypatch, tmp_path,
 @pytest.mark.parametrize("command", ["analytic", "simulate"])
 @pytest.mark.parametrize("directory", ["x.csv", "x.csv.manifest.json"])
 def test_sweep_out_onto_a_directory_writes_nothing(capsys, monkeypatch, tmp_path, command, directory):
+    # the directory is refused before the sweep or the scan starts
+    def not_called(*args):
+        raise AssertionError("the sweep ran before the directory was refused")
+
+    monkeypatch.setattr(cli, "run_sweep", not_called)
+    monkeypatch.setattr(cli, "compare_and_crossover", not_called)
     monkeypatch.chdir(tmp_path)
     Path(directory).mkdir()
     code, stdout, err = run(

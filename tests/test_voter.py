@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from voter_oracle import (
     decide,
     minterm_sop,
     popcount_table,
+    threshold_sop,
 )
 
 
@@ -215,6 +217,28 @@ def test_decisions_are_the_popcount_threshold():
 def test_minterm_sop_equals_the_literal_loop(k, t):
     voter = VoterTable(k, t)
     assert emit_minterm_sop(voter) == minterm_sop(voter)
+
+
+# k = 1 (an empty low half), t <= floor(k/2) (the empty high subset takes
+# terms) and t = k (only the full high subset does) are all among these
+@pytest.mark.parametrize("k, t", [(k, t) for k in range(1, 17) for t in range(1, k + 1)])
+def test_threshold_sop_equals_one_join_per_subset(k, t):
+    voter = VoterTable(k, t)
+    assert emit_threshold_sop(voter) == threshold_sop(voter)
+
+
+def test_threshold_sop_peak_is_near_its_text():
+    # the blocks and the joined text, not a list of 12,870 term strings
+    voter = VoterTable(16, 8)
+    emit_threshold_sop(voter)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        expression, _ = emit_threshold_sop(voter)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(expression) == 379_662
+    assert peak < 2.5 * len(expression), f"traced peak {peak} bytes"
 
 
 def _sop_digests(voter: VoterTable) -> tuple[str, str]:

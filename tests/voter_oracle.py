@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
-from probvoter.voter import MAX_REPLICAS, ErrorProfile, VoterTable
+from probvoter.voter import MAX_REPLICAS, ErrorProfile, SopMetrics, VoterTable
 
 # The sole float: it marks a symbol no replica shows and only ever sits on
 # one side of a comparison with an exact Fraction.
@@ -96,3 +98,12 @@ def minterm_sop(voter: VoterTable) -> str:
             literals.append(name if bit else "!" + name)
         terms.append("&".join(literals))
     return " + ".join(terms)
+
+
+def threshold_sop(voter: VoterTable) -> tuple[str, SopMetrics]:
+    """The minimal SOP of a t-of-k threshold, one `"&".join` per t-subset,
+    and its size."""
+    names = [f"y{i}" for i in range(1, voter.k + 1)]
+    t = voter.threshold
+    terms = comb(voter.k, t)
+    return " + ".join(map("&".join, combinations(names, t))), SopMetrics(terms, t * terms)
