@@ -34,10 +34,8 @@ values never needs a gcd.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -78,22 +76,19 @@ _Polynomial = tuple[int, tuple[int, ...]]
 _Table = tuple[int, list[tuple[int, list[int]]]]
 
 
-@cache
-def _cdf_coefficients(k: int, m: int) -> tuple[int, ...]:
-    """c_0..c_k with P[Binomial(k, p) <= m] = sum_i c_i p^i, for 0 <= m < k.
-
-    c_0 = 1, and c_i = (-1)^(i-m) C(k, i) C(i-1, m) vanishes for i <= m.
-    k is a validated replica count, so the cache holds at most 136 entries.
-    """
-    return (1,) + tuple(
-        (-1) ** (i - m) * comb(k, i) * comb(i - 1, m) if i > m else 0 for i in range(1, k + 1)
-    )
-
-
 def _power_coefficients(profile: ErrorProfile, k: int, t: int) -> tuple[int, ...]:
-    """e_0..e_k with A(p) * d^k * 2^n = sum_i e_i a^i d^(k-i) for p = a/d."""
-    below_t, below_mirror = _cdf_coefficients(k, t - 1), _cdf_coefficients(k, k - t)
-    return tuple(profile.n0 * x + profile.n1 * y for x, y in zip(below_t, below_mirror))
+    """e_0..e_k with A(p) * d^k * 2^n = sum_i e_i a^i d^(k-i) for p = a/d.
+
+    The module docstring's formula: comb(i - 1, m) is 0 for i <= m, which
+    zeroes e_1 .. e_(r-1).  Each sign is -1 to its exponent's parity, since
+    -1 to a negative power would be a float.
+    """
+    n0, n1 = profile.n0, profile.n1
+    return (n0 + n1,) + tuple(
+        comb(k, i) * (n0 * (-1) ** ((i - t + 1) & 1) * comb(i - 1, t - 1)
+                      + n1 * (-1) ** ((i - k + t) & 1) * comb(i - 1, k - t))
+        for i in range(1, k + 1)
+    )
 
 
 def _polynomial(profile: ErrorProfile, voter: VoterTable) -> _Polynomial:
@@ -198,35 +193,27 @@ def compare_and_crossover(
     grid = tuple(_as_probability(p) for p in p_grid)
     if not grid:
         raise ValueError("probability grid is empty")
+    ratios = [(p.numerator, p.denominator) for p in grid]
+    # a/d < b/e for neighbours, by cross-multiplying positive denominators
+    if any(a * e >= b * d for (a, d), (b, e) in zip(ratios, ratios[1:])):
+        raise ValueError("probability grid must be strictly ascending")
     polynomials = [_polynomial(profile, voter) for voter in (prob, majority)]
-    # a denominator's table is kept only while grid points over it remain
-    pending = Counter(p.denominator for p in grid)
+    # a denominator's table is kept only until its last grid point
+    last = {d: i for i, (_, d) in enumerate(ratios)}
     tables = {}
     points = []
-    crossovers = []
-    last_sign = 0
-    last_signed_p = None
-    last_a, last_d = -1, 1  # below every probability
-    for p in grid:
-        a, d = p.numerator, p.denominator
-        # a/d > last_a/last_d, by cross-multiplying positive denominators
-        if a * last_d <= last_a * d:
-            raise ValueError("probability grid must be strictly ascending")
-        last_a, last_d = a, d
+    signed = []  # (whether prob leads, p) at each point where the curves differ
+    for i, (p, (a, d)) in enumerate(zip(grid, ratios)):
         table = tables.get(d)
         if table is None:
             table = tables[d] = _scale(polynomials, prob.k, d, profile.n)
-        pending[d] -= 1
-        if not pending[d]:
+        if last[d] == i:
             del tables[d]
         # both availabilities share the denominator d^k * 2^n, so the sign
         # of their difference is the sign of the numerators' difference
         prob_n, majority_n = _evaluate(table, a)
         points.append(ComparisonPoint(p, prob_n, majority_n, table[0]))
-        sign = (prob_n > majority_n) - (prob_n < majority_n)
-        if sign != 0:
-            if last_sign != 0 and sign != last_sign:
-                crossovers.append((last_signed_p, p))
-            last_sign = sign
-            last_signed_p = p
-    return CurveComparison(tuple(points), tuple(crossovers))
+        if prob_n != majority_n:
+            signed.append((prob_n > majority_n, p))
+    crossovers = tuple((low, high) for (s, low), (u, high) in zip(signed, signed[1:]) if s != u)
+    return CurveComparison(tuple(points), crossovers)

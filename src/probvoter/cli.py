@@ -202,10 +202,7 @@ def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
                     # fails int()'s digit limit exactly where Fraction would
                     whole, digits = plain.groups()
                     scale = 10 ** len(digits)
-                    numerator = int(whole or "0") * scale + int(digits)
-                    if numerator > scale:
-                        raise _CliError(f"probability {part} is outside [0, 1]", EXIT_CONFIG)
-                    value = Fraction(numerator, scale)
+                    value = Fraction(int(whole or "0") * scale + int(digits), scale)
                 else:
                     exponent = _EXPONENT_RE.search(part)
                     if exponent and abs(int(exponent.group(1))) > MAX_PE_EXPONENT:
@@ -214,10 +211,10 @@ def _parse_pe_grid(entries: list[str] | None) -> tuple[Fraction, ...]:
                             EXIT_CONFIG,
                         )
                     value = Fraction(part)
-                    if not 0 <= value.numerator <= value.denominator:
-                        raise _CliError(f"probability {part} is outside [0, 1]", EXIT_CONFIG)
             except (ValueError, ZeroDivisionError):
                 raise _CliError(f"cannot parse probability {part!r}", EXIT_CONFIG) from None
+            if not 0 <= value.numerator <= value.denominator:
+                raise _CliError(f"probability {part} is outside [0, 1]", EXIT_CONFIG)
             values.append(value)
     return tuple(values)
 
@@ -561,9 +558,17 @@ def _add_function_arguments(parser) -> None:
     group.add_argument("--vars", metavar="A,B,...", help="explicit variable order for --expr (first name = MSB of the row index)")
 
 
-def _add_sweep_arguments(parser) -> None:
+def _add_replicas_argument(parser) -> None:
     parser.add_argument("-k", "--replicas", type=int, default=3, help="replica count (default %(default)s)")
+
+
+def _add_tie_policy_argument(parser) -> None:
     parser.add_argument("--tie-policy", type=int, choices=(0, 1), default=None, help="which symbol wins an even split (required for even k)")
+
+
+def _add_sweep_arguments(parser) -> None:
+    _add_replicas_argument(parser)
+    _add_tie_policy_argument(parser)
     parser.add_argument("--pe", action="append", metavar="P[,P...]", help="flip probabilities (decimals or fractions); repeatable or comma-separated; default is a 15-point grid from 0.001 to 0.5")
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="inputs per probability (default %(default)s)")
     parser.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
@@ -584,9 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="synthesize a voter table")
     _add_function_arguments(synth)
-    synth.add_argument("-k", "--replicas", type=int, default=3, help="replica count (default %(default)s)")
+    _add_replicas_argument(synth)
     synth.add_argument("--kind", choices=("prob", "majority"), default="prob", help="voter flavour (default %(default)s)")
-    synth.add_argument("--tie-policy", type=int, choices=(0, 1), default=None, help="which symbol wins an even split (required for even k)")
+    _add_tie_policy_argument(synth)
     synth.add_argument("--dump-generic", action="store_true", help="also print the symbolic cost table for k replicas")
     synth.set_defaults(func=cmd_synth)
 

@@ -11,6 +11,7 @@ from analytic_oracle import (
     expanded_power_coefficients,
     fraction_availability,
 )
+from probvoter import analytic
 from probvoter.analytic import (
     SystemModel,
     _polynomial,
@@ -218,12 +219,19 @@ def test_balanced_function_has_no_crossover():
     )
 
 
-def test_grid_validation(two_ones):
+def test_grid_validation(monkeypatch, two_ones):
+    # every grid is refused before a polynomial is built
+    def refuse(*args):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(analytic, "_polynomial", refuse)
     profile = error_profile(two_ones)
     with pytest.raises(ValueError):
         _compare(profile, 3, [])
     with pytest.raises(ValueError):
         _compare(profile, 3, [Fraction(1, 2), Fraction(1, 4)])
+    with pytest.raises(ValueError, match="ascending"):
+        _compare(profile, 3, [Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(ValueError):
         _compare(profile, 3, [Fraction(1, 4), Fraction(1, 4)])
 
@@ -365,6 +373,8 @@ def test_first_nonzero_coefficient_is_the_masking_order(profile):
     for k in range(1, 17):
         for t in range(1, k + 1):
             e = _power_coefficients(profile, k, t)
+            # exact integers only: no float enters an availability
+            assert all(type(x) is int for x in e), (k, t)
             order = _masking_order(profile, k, t)
             assert not any(e[1:order]), (k, t)
             assert e[order] < 0, (k, t)

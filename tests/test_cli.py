@@ -763,6 +763,26 @@ print(json.dumps({
 def test_public_names_resolve_and_star_import_binds_exactly_them():
     import probvoter
 
+    # the public names, pinned as test_cli_options.py pins the options
+    assert sorted(probvoter.__all__) == [
+        "AvailabilityRecord",
+        "ErrorProfile",
+        "SimConfig",
+        "SystemModel",
+        "TruthTable",
+        "VoterTable",
+        "__version__",
+        "compare_and_crossover",
+        "error_profile",
+        "expected_errors",
+        "parse_expression",
+        "parse_table_file",
+        "run_sweep",
+        "serialize_table",
+        "synthesize_majority",
+        "synthesize_probabilistic",
+        "system_availability",
+    ]
     assert len(set(probvoter.__all__)) == len(probvoter.__all__)
     for name in probvoter.__all__:
         assert hasattr(probvoter, name), name

@@ -121,6 +121,26 @@ def test_analytic_scales_once_per_denominator_and_evaluates_once_per_point(monke
     assert evaluations == [(Fraction(p).numerator, 2) for p in grid]
 
 
+
+@pytest.mark.parametrize(
+    "pe",
+    ["0.3,0.1", ",".join([*(f"{i}/2000" for i in range(1, 1001)), "1/4000"])],
+    ids=["descending", "long-then-back"],
+)
+def test_analytic_refuses_a_grid_out_of_order_before_any_point(monkeypatch, tmp_path, pe):
+    # the second grid ascends for 1,000 points, then steps back below them
+    def refuse(*args):
+        raise AssertionError("a point was computed")
+
+    monkeypatch.setattr(analytic, "_scale", refuse)
+    monkeypatch.setattr(analytic, "_evaluate", refuse)
+    out = tmp_path / "x.csv"
+    code, stdout, err = _run("analytic", "--expr", "a&b&!c", "-k", "16", "--tie-policy", "1",
+                             "--pe", pe, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "ascending" in err
+    assert not out.exists()
+
 # sha256 of the CSV and stdout of three `analytic` runs, taken from the
 # partial-sum evaluator this one replaced: the i/2000 grid, 1,000 distinct
 # denominators j/(2j+1), and one point over 2^7000.  The third is the

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import cache
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from probvoter.voter import (
     synthesize_probabilistic,
 )
 
-from sim_oracle import inject, loop_cell, run_trial, unit_interval
+from sim_oracle import _GOLDEN, _MASK64, inject, loop_cell, run_trial, unit_interval
 
 # First five outputs of the generator from state 0; any change to these
 # breaks bit-reproducibility of every published sweep.
@@ -80,8 +81,13 @@ def test_inject_consumes_exactly_one_draw():
 @given(
     st.integers(min_value=0, max_value=(1 << 64) - 1),
     st.fractions(min_value=0, max_value=1, max_denominator=10**9),
+    st.sampled_from([None, -1, 0]),
 )
-def test_flip_cutoff_matches_float_comparison(value, pe):
+def test_flip_cutoff_matches_float_comparison(value, pe, boundary):
+    if boundary is not None:
+        # the last draw below the exact cutoff ceil(pe * 2^53), or the first at it;
+        # a uniform draw hits either one with chance 2^-64
+        value = min(max((ceil(pe * (1 << 53)) << 11) + boundary, 0), (1 << 64) - 1)
     assert ((value >> 11) < flip_cutoff(pe)) == (unit_interval(value) < pe)
 
 
@@ -89,6 +95,65 @@ def test_flip_cutoff_smallest_representable():
     assert flip_cutoff(Fraction(1, 1 << 53)) == 1
     assert flip_cutoff(Fraction(0)) == 0
     assert flip_cutoff(Fraction(1)) == 1 << 53
+
+
+@pytest.mark.parametrize(
+    "pe", [Fraction(1, 3), Fraction(2, 3), Fraction(1, 10), Fraction(1, (1 << 53) + 1)]
+)
+def test_flip_cutoff_is_the_exact_ceiling(pe):
+    # pe * 2^53 is not an integer here, so rounding down would differ by one
+    assert flip_cutoff(pe) == ceil(pe * (1 << 53)) == floor(pe * (1 << 53)) + 1
+
+
+def _unshift(y: int, shift: int) -> int:
+    """The z with z ^ (z >> shift) == y."""
+    z = y
+    for _ in range(64 // shift):
+        z = y ^ z >> shift
+    return z
+
+
+def _unmix(value: int) -> int:
+    """The z with sim._mix(z) == value: each xorshift and odd multiply inverts."""
+    z = _unshift(value, 31)
+    z = _unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    return _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+
+
+def _seed_for_draw(value: int, draw: int, cell: int) -> int:
+    """The master seed whose sweep cell `cell` gives `value` as its draw `draw`.
+
+    Draw d of a cell is mix(s0 + (d + 1) * GOLDEN) with s0 its substream state,
+    and s0 = mix((seed ^ (cell + 1) * GOLDEN) + GOLDEN).
+    """
+    first = (_unmix(value) - (draw + 1) * _GOLDEN) & _MASK64
+    return ((_unmix(first) - _GOLDEN) & _MASK64) ^ ((cell + 1) * _GOLDEN & _MASK64)
+
+
+_THIRD = Fraction(1, 3)
+_THIRD_CUTOFF = ceil(_THIRD * (1 << 53))
+
+
+@pytest.mark.parametrize("kept", [False, True])
+@pytest.mark.parametrize(
+    "trials, trial, cell",
+    [(1, 0, 0), (CHUNK, CHUNK - 1, 0), (CHUNK + 1, CHUNK, 1)],
+    ids=["only-trial", "last-lane-of-a-full-chunk", "one-trial-last-chunk"],
+)
+def test_a_draw_next_to_the_flip_cutoff(trials, trial, cell, kept):
+    # k = 1: trial j draws its row at 2j and its one replica at 2j + 1.  The
+    # last draw below c << 11 flips at pe = 1/3, and c << 11 itself keeps.
+    value = (_THIRD_CUTOFF << 11) - (not kept)
+    draw = 2 * trial + 1
+    seed = _seed_for_draw(value, draw, cell)
+    assert rng_next((substream_state(seed, cell) + draw * _GOLDEN) & _MASK64)[1] == value
+    config = SimConfig(
+        _table(1, 0b10), 1, (("v", VoterTable(1, 1)),), (_THIRD,) * (cell + 1), trials, seed
+    )
+    record = run_sweep(config)[cell]
+    assert record == loop_cell(config, cell, _THIRD)
+    if trials == 1:
+        assert record.module_correct == record.voter_correct["v"] == kept
 
 
 def test_run_trial_draw_accounting(two_ones):
