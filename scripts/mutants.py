@@ -49,8 +49,23 @@ MUTANTS = (
     ),
     Mutant(
         "flip-bias-off-by-one", SIM,
-        "bias = (1 << 64) - (flip_cutoff(pe) << 11)",
-        "bias = (1 << 64) - (flip_cutoff(pe) << 11) + 1",
+        "flip_bias = ones * ((1 << 64) - (flip_cutoff(pe) << 11))",
+        "flip_bias = ones * ((1 << 64) - (flip_cutoff(pe) << 11) + 1)",
+    ),
+    Mutant(
+        "dead-lanes-counted", SIM,
+        "+ flip_bias) & live",
+        "+ flip_bias) & carry",
+    ),
+    Mutant(
+        "tail-mask-one-lane-wide", SIM,
+        "(trials - start)",
+        "(trials - start + 1)",
+    ),
+    Mutant(
+        "chunk-size-rounded-down", SIM,
+        "_chunk_lanes(config, -(-config.trials // chunks))",
+        "_chunk_lanes(config, config.trials // chunks)",
     ),
     Mutant(
         "e-n0-sign", ANALYTIC,

@@ -266,13 +266,19 @@ def _write_text(path: str, text: str) -> None:
     _write_bytes(path, text.encode("utf-8"))
 
 
-def _refuse_directories(*paths) -> None:
-    """Exit 2 if any of `paths` is a directory.  Called before a command's
-    first write, so a directory in the way of a later file leaves none of
-    the earlier ones behind."""
+def _refuse_outputs(inputs, *paths) -> None:
+    """Exit 2 if any of `paths` is a directory or the same file as one of
+    `inputs` (None entries skipped).  Called before a command's first write,
+    so a path refused late leaves none of the earlier files behind."""
     for path in paths:
         if os.path.isdir(path):
             raise _CliError(f"cannot write {path}: it is a directory", EXIT_CONFIG)
+        for source in filter(None, inputs):
+            if os.path.exists(path) and os.path.samefile(path, source):
+                raise _CliError(
+                    f"cannot write {path}: it is the same file as the input {source}",
+                    EXIT_CONFIG,
+                )
 
 
 # A function's output line holds only '0' and '1', which JSON writes as they
@@ -369,7 +375,7 @@ def _load_sweep(args) -> _Sweep:
 
 def _write_sweep(args, sweep: _Sweep, rows: list[str], **manifest) -> None:
     """Write the CSV and its manifest; `manifest` adds command-specific keys.
-    The command has already refused a directory at either path."""
+    The command has already refused a directory or an input at either path."""
     _write_text(args.out, "\n".join([CSV_HEADER, *rows]) + "\n")
     _write_manifest(
         args.out,
@@ -404,7 +410,7 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
-    _refuse_directories(args.out, f"{args.out}.manifest.json")
+    _refuse_outputs([args.table], args.out, f"{args.out}.manifest.json")
     records = run_sweep(config)
     rows = [
         ",".join(
@@ -456,7 +462,7 @@ def cmd_analytic(args) -> int:
     sweep = _load_sweep(args)
     if args.trials < 0:
         raise _CliError(f"trial count must be non-negative, got {args.trials}", EXIT_CONFIG)
-    _refuse_directories(args.out, f"{args.out}.manifest.json")
+    _refuse_outputs([args.table], args.out, f"{args.out}.manifest.json")
     try:
         comparison = compare_and_crossover(sweep.profile, sweep.majority, sweep.prob, sweep.grid)
     except ValueError as exc:
@@ -529,7 +535,7 @@ def cmd_plot(args) -> int:
     data_path = out.with_suffix(".dat")
     if data_path == out:
         raise _CliError("--out must not itself end in .dat", EXIT_CONFIG)
-    _refuse_directories(data_path, out, f"{out}.manifest.json")
+    _refuse_outputs([args.csv], data_path, out, f"{out}.manifest.json")
     data_lines = ["# " + CSV_HEADER.replace(",", " ")]
     data_lines.extend(" ".join(parts) for parts in rows)
     _write_text(str(data_path), "\n".join(data_lines) + "\n")

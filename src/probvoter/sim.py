@@ -16,8 +16,8 @@ holds the state r + 1 draws later; the mixer, the flip test and the vote
 thresholds all run lane-wise as whole-integer operations.  A kept replica
 carries into bit 64 of its lane, so bits 64-72 count the kept replicas,
 and one `bit_count` per voter tallies the votes that match the golden bit
-at bit 72.  The lane constants are plain integers, built once per sweep and
-chunk size.  Only the golden-output lookup is left per trial: each lane's
+at bit 72.  A sweep's chunks all have one size and one set of plain-integer
+lane constants.  Only the golden-output lookup is left per trial: a lane's
 row index is every second 64-bit word of the little-endian row integer.
 The counts equal those of drawing the stream one value at a time, trial
 after trial (the tests keep that loop as the oracle).
@@ -36,8 +36,8 @@ from .voter import VoterTable, _check_int, check_replica_count
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Trials per chunk: bounds a cell's memory to a few 64 KiB integers for any
-# trial count.
+# At most this many trials per chunk: bounds a cell's memory to a few 64 KiB
+# integers for any trial count.
 CHUNK = 4096
 _LANE_BITS = 128
 _LANE_BYTES = _LANE_BITS // 8
@@ -165,8 +165,7 @@ class AvailabilityRecord:
 
 
 def _chunk_lanes(config: SimConfig, size: int) -> tuple:
-    """Plain-integer lane constants of a `size`-trial chunk; no cell changes
-    them, and `_run_cell` reads row indices with one `struct` format code."""
+    """A `size`-trial chunk's size and lane constants; no cell changes them."""
     ones, ramp = _lane_constants(size)
     lanes = ones * _MASK64
     carry = ones << 64
@@ -178,43 +177,45 @@ def _chunk_lanes(config: SimConfig, size: int) -> tuple:
     # MAX_REPLICAS) sit in bits 64-71, so adding 256 - a carries into bit 72
     # iff kept >= a.
     votes = [(carry * (256 - t), carry * (255 - config.k + t)) for t in thresholds]
-    return ones, lanes, offsets, row_mask, ones * _GOLDEN, carry, votes
+    return size, ones, lanes, offsets, row_mask, ones * _GOLDEN, carry, votes
 
 
 def _run_cell(
-    config: SimConfig, index: int, pe: Fraction, chunks: dict[int, tuple]
+    config: SimConfig, index: int, pe: Fraction, chunk: tuple
 ) -> AvailabilityRecord:
-    k = config.k
+    k, trials = config.k, config.trials
     outputs = config.function.outputs
+    size, ones, lanes, offsets, row_mask, steps, carry, votes = chunk
     counts = [0] * len(config.voters)
     module_correct = 0
     first_state = substream_state(config.master_seed, index)
     # A replica keeps its bit iff (draw >> 11) >= cutoff: iff adding 2^64 -
     # (cutoff << 11) carries into bit 64, under _mix's leftovers at 97-127.
-    bias = (1 << 64) - (flip_cutoff(pe) << 11)
+    flip_bias = ones * ((1 << 64) - (flip_cutoff(pe) << 11))
 
-    for start in range(0, config.trials, CHUNK):
-        size = min(CHUNK, config.trials - start)
-        ones, lanes, offsets, row_mask, steps, carry, votes = chunks[size]
-        flip_bias = ones * bias
+    for start in range(0, trials, size):
         row_state = (first_state + (start * (k + 1) + 1) * _GOLDEN) & _MASK64
         state = (row_state * ones + offsets) & lanes
-
-        width = size * _LANE_BYTES
-        rows = (_mix(state, lanes) & row_mask).to_bytes(width, "little")
+        rows = (_mix(state, lanes) & row_mask).to_bytes(size * _LANE_BYTES, "little")
         # A little-endian row integer's even 64-bit words are its lanes' rows.
         golden = itemgetter(*struct.unpack(f"<{2 * size}Q", rows)[::2])(outputs)
         # Byte 9 of a lane holds bit 72.  itemgetter returns a lone item, not
         # a 1-tuple, for a single row.
-        golden_bytes = bytearray(width)
+        golden_bytes = bytearray(size * _LANE_BYTES)
         golden_bytes[9::_LANE_BYTES] = bytes(golden if size > 1 else (golden,))
         golden = int.from_bytes(golden_bytes, "little")
         del rows, golden_bytes  # no byte buffer lives through the draws
 
+        # Only the last chunk can have lanes past the last trial.  They keep
+        # no replica, so kept = 0, and as VoterTable holds 1 <= t <= k neither
+        # vote bias, 256 - t or 255 - k + t, reaches bit 72: golden needs no mask.
+        live = carry
+        if start + size > trials:
+            live &= (1 << _LANE_BITS * (trials - start)) - 1
         kept = 0
         for r in range(k):
             state = (state + steps) & lanes
-            bits = (_mix(state, lanes) + flip_bias) & carry
+            bits = (_mix(state, lanes) + flip_bias) & live
             if r == 0:
                 module_correct += bits.bit_count()
             kept += bits
@@ -240,7 +241,6 @@ def run_sweep(config: SimConfig) -> list[AvailabilityRecord]:
     sub-grid of a larger sweep reproduces that sweep's cells only when the
     retained cells keep their original indices.
     """
-    # Full chunks and the last one: at most two sizes.
-    sizes = {min(CHUNK, config.trials), config.trials % CHUNK} - {0}
-    chunks = {size: _chunk_lanes(config, size) for size in sizes}
-    return [_run_cell(config, i, pe, chunks) for i, pe in enumerate(config.pe_values)]
+    chunks = -(-config.trials // CHUNK)  # the fewest of at most CHUNK trials,
+    chunk = _chunk_lanes(config, -(-config.trials // chunks))  # all of one size
+    return [_run_cell(config, i, pe, chunk) for i, pe in enumerate(config.pe_values)]

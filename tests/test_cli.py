@@ -695,6 +695,64 @@ def test_sweep_out_onto_a_directory_writes_nothing(capsys, monkeypatch, tmp_path
     assert os.listdir(directory) == []
 
 
+def _digests(names):
+    return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize(
+    "table, out, target",
+    [
+        ("f.tt", "f.tt", "f.tt"),
+        ("x.csv.manifest.json", "x.csv", "x.csv.manifest.json"),
+        ("f.tt", "link.csv", "link.csv"),
+    ],
+    ids=["out-is-the-table", "manifest-is-the-table", "out-links-to-the-table"],
+)
+def test_sweep_out_onto_its_table_writes_nothing(
+    capsys, monkeypatch, tmp_path, command, table, out, target
+):
+    def not_called(*args):
+        raise AssertionError("the sweep ran before the output was refused")
+
+    monkeypatch.setattr(cli, "run_sweep", not_called)
+    monkeypatch.setattr(cli, "compare_and_crossover", not_called)
+    monkeypatch.chdir(tmp_path)
+    Path(table).write_bytes(TWO_ONES_FILE)
+    if out == "link.csv":
+        os.symlink(table, out)
+    before = _digests([table])
+    listing = sorted(os.listdir())
+    code, stdout, err = run(
+        capsys, command, "--table", table, "--pe", "0.1", "--trials", "10", "--out", out
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"probvoter: cannot write {target}: it is the same file as the input {table}\n"
+    assert _digests([table]) == before
+    assert sorted(os.listdir()) == listing
+
+
+@pytest.mark.parametrize(
+    "csv, out, target",
+    [("a.csv", "a.csv", "a.csv"), ("b.dat", "b.gp", "b.dat"), ("a.csv", "link.gp", "link.gp")],
+    ids=["out-is-the-csv", "data-is-the-csv", "out-links-to-the-csv"],
+)
+def test_plot_out_onto_its_csv_writes_nothing(capsys, monkeypatch, tmp_path, csv, out, target):
+    monkeypatch.chdir(tmp_path)
+    Path(csv).write_text(CSV_HEADER + "\n0.1,0.9,0.9,0.9,1,2,100\n")
+    # the sweep's own manifest, which a plot manifest must not replace either
+    Path(f"{csv}.manifest.json").write_text("{}\n")
+    if out == "link.gp":
+        os.symlink(csv, out)
+    before = _digests([csv, f"{csv}.manifest.json"])
+    listing = sorted(os.listdir())
+    code, stdout, err = run(capsys, "plot", csv, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"probvoter: cannot write {target}: it is the same file as the input {csv}\n"
+    assert _digests([csv, f"{csv}.manifest.json"]) == before
+    assert sorted(os.listdir()) == listing
+
+
 def test_plot_missing_csv(capsys, tmp_path):
     code, _, _ = run(capsys, "plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.gp"))
     assert code == 3
