@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 SIM = "src/probvoter/sim.py"
 ANALYTIC = "src/probvoter/analytic.py"
+CLI = "src/probvoter/cli.py"
 MUTANTS = (
     Mutant(
         "flip-cutoff-rounds-down", SIM,
@@ -102,6 +103,21 @@ MUTANTS = (
         "crossover-from-neighbouring-points", ANALYTIC,
         "        if prob_n != majority_n:\n            signed.append((prob_n > majority_n, p))\n",
         "        signed.append((prob_n > majority_n, p))\n",
+    ),
+    Mutant(
+        "parser-for-any-first-word", CLI,
+        "argv[0] if argv and argv[0] in _COMMANDS else None",
+        "argv[0] if argv else None",
+    ),
+    Mutant(
+        "parser-for-the-wrong-command", CLI,
+        "parser = build_parser(command)",
+        'parser = build_parser(command and "synth")',
+    ),
+    Mutant(
+        "missing-directory-not-refused", CLI,
+        "        if parent and not os.path.isdir(parent):\n",
+        "        if False:\n",
     ),
 )
 

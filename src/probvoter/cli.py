@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import hashlib
-import json
 import math
 import os
 import re
@@ -267,10 +265,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _refuse_outputs(inputs, *paths) -> None:
-    """Exit 2 if any of `paths` is a directory or the same file as one of
-    `inputs` (None entries skipped).  Called before a command's first write,
-    so a path refused late leaves none of the earlier files behind."""
+    """Exit 2 if any of `paths` is empty, is in a directory that does not
+    exist, is a directory or is the same file as one of `inputs` (None
+    entries skipped).  Called before a command's first write, so a path
+    refused late leaves none of the earlier files behind."""
     for path in paths:
+        if not path:
+            raise _CliError("cannot write to an empty path", EXIT_CONFIG)
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            raise _CliError(f"cannot write {path}: there is no directory {parent}", EXIT_CONFIG)
         if os.path.isdir(path):
             raise _CliError(f"cannot write {path}: it is a directory", EXIT_CONFIG)
         for source in filter(None, inputs):
@@ -292,6 +296,8 @@ _EMPTY_OUTPUTS = '"outputs": ""'
 def _write_manifest(out_path: str, payload: dict, outputs: bytes | None = None) -> None:
     """Write `payload` plus the version; `outputs`, ASCII '0'/'1' bytes,
     fills its function's empty "outputs" pair."""
+    import json  # only the manifest writers use it; a bare launch skips it
+
     payload = dict(payload, version=__version__)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path = str(out_path) + ".manifest.json"
@@ -497,6 +503,8 @@ plot "{data}" using 1:5 with linespoints lw 2 title "majority voter", \\
 
 
 def cmd_plot(args) -> int:
+    import hashlib  # only plot uses it; a bare launch skips it
+
     try:
         data = Path(args.csv).read_bytes()
         text = data.decode("utf-8")
@@ -580,19 +588,13 @@ def _add_sweep_arguments(parser) -> None:
     parser.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="probvoter",
-        description="Synthesize function-aware probabilistic voters and measure how much better they mask replica faults than plain majority voting.",
-        epilog="exit codes: 0 success, 2 usage/configuration error, 3 input parse error",
-    )
-    parser.add_argument("--version", action="version", version=f"probvoter {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
+def _add_profile(sub) -> None:
     profile = sub.add_parser("profile", help="print symbol counts and error rates")
     _add_function_arguments(profile)
     profile.set_defaults(func=cmd_profile)
 
+
+def _add_synth(sub) -> None:
     synth = sub.add_parser("synth", help="synthesize a voter table")
     _add_function_arguments(synth)
     _add_replicas_argument(synth)
@@ -601,27 +603,60 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--dump-generic", action="store_true", help="also print the symbolic cost table for k replicas")
     synth.set_defaults(func=cmd_synth)
 
+
+def _add_simulate(sub) -> None:
     simulate = sub.add_parser("simulate", help="Monte Carlo fault-injection sweep")
     _add_function_arguments(simulate)
     _add_sweep_arguments(simulate)
     simulate.add_argument("--seed", type=_integer, default=DEFAULT_SEED, help="64-bit master seed, decimal or 0x-hex (default 0xC0FFEE)")
     simulate.set_defaults(func=cmd_simulate)
 
+
+def _add_analytic(sub) -> None:
     analytic = sub.add_parser("analytic", help="exact availability sweep")
     _add_function_arguments(analytic)
     _add_sweep_arguments(analytic)
     analytic.set_defaults(func=cmd_analytic)
 
+
+def _add_plot(sub) -> None:
     plot = sub.add_parser("plot", help="emit a gnuplot script for a results CSV")
     plot.add_argument("csv", metavar="CSV", help="results file from simulate or analytic")
     plot.add_argument("--out", required=True, metavar="PATH", help="gnuplot script path (data file lands next to it)")
     plot.set_defaults(func=cmd_plot)
 
+
+_COMMANDS = {
+    "profile": _add_profile,
+    "synth": _add_synth,
+    "simulate": _add_simulate,
+    "analytic": _add_analytic,
+    "plot": _add_plot,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command`'s alone."""
+    parser = argparse.ArgumentParser(
+        prog="probvoter",
+        description="Synthesize function-aware probabilistic voters and measure how much better they mask replica faults than plain majority voting.",
+        epilog="exit codes: 0 success, 2 usage/configuration error, 3 input parse error",
+    )
+    parser.add_argument("--version", action="version", version=f"probvoter {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for add in _COMMANDS.values() if command is None else (_COMMANDS[command],):
+        add(sub)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A call builds only the subparser its first word names.  Any other first
+    # word (-h, --version, --, an unknown command) or none gets every
+    # subcommand, so help, usage and error texts are those of the full tree.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
         # argparse may drop a "--" given as an option's value ("--out=--")

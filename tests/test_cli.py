@@ -695,6 +695,42 @@ def test_sweep_out_onto_a_directory_writes_nothing(capsys, monkeypatch, tmp_path
     assert os.listdir(directory) == []
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize(
+    "out, error",
+    [
+        ("missing/x.csv", "cannot write missing/x.csv: there is no directory missing"),
+        ("f.tt/x.csv", "cannot write f.tt/x.csv: there is no directory f.tt"),
+        ("", "cannot write to an empty path"),
+    ],
+    ids=["missing-directory", "file-as-directory", "empty"],
+)
+def test_sweep_out_into_no_directory_writes_nothing(capsys, monkeypatch, tmp_path, command, out, error):
+    # refused before the sweep or the scan starts, not when the CSV is written
+    def not_called(*args):
+        raise AssertionError("the sweep ran before the output was refused")
+
+    monkeypatch.setattr(cli, "run_sweep", not_called)
+    monkeypatch.setattr(cli, "compare_and_crossover", not_called)
+    monkeypatch.chdir(tmp_path)
+    Path("f.tt").write_bytes(TWO_ONES_FILE)
+    code, stdout, err = run(
+        capsys, command, "--table", "f.tt", "--pe", "0.1", "--trials", "10", "--out", out
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"probvoter: {error}\n"
+    assert os.listdir() == ["f.tt"]
+
+
+def test_plot_out_into_a_missing_directory_writes_nothing(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path("exact.csv").write_text(CSV_HEADER + "\n0.1,0.9,0.9,0.9,1,2,100\n")
+    code, stdout, err = run(capsys, "plot", "exact.csv", "--out", "missing/fig.gp")
+    assert (code, stdout) == (2, "")
+    assert err == "probvoter: cannot write missing/fig.dat: there is no directory missing\n"
+    assert os.listdir() == ["exact.csv"]
+
+
 def _digests(names):
     return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
 
@@ -859,3 +895,24 @@ def test_cli_imports_only_the_standard_library():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"numpy": False, "outside": []}
+
+
+# json and hashlib are left out of the snapshot's own imports, so the
+# snapshot can see them arrive
+_IMPORT_CLI_LAZY = """
+import sys
+before = set(sys.modules)
+import probvoter.cli
+print(" ".join(sorted({"json", "hashlib"} & (set(sys.modules) - before))))
+"""
+
+
+def test_cli_import_leaves_json_and_hashlib_to_their_commands():
+    # the manifest writers import json and plot imports hashlib when they run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CLI_LAZY], capture_output=True, env=env, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"

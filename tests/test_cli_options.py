@@ -6,7 +6,10 @@ help text, has to edit this census too, so such a change is always seen.
 
 import argparse
 
-from probvoter.cli import _integer, build_parser
+import pytest
+
+from probvoter import cli
+from probvoter.cli import _integer, build_parser, main
 
 SUPPRESS = argparse.SUPPRESS
 HELP = (("-h", "--help"), "help", None, SUPPRESS, None, False, "show this help message and exit")
@@ -83,3 +86,49 @@ def test_the_command_line_offers_exactly_the_pinned_options():
     assert list(census) == list(CENSUS)
     for name, options in CENSUS.items():
         assert census[name] == options, name
+
+
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+@pytest.mark.parametrize("name", [name for name in CENSUS if name is not None])
+def test_one_command_parser_offers_that_command_alone(name):
+    parser = build_parser(name)
+    assert _options(parser) == CENSUS[None]
+    assert list(_commands(parser)) == [name]
+    assert _options(_commands(parser)[name]) == CENSUS[name]
+
+
+PARITY_ARGVS = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["bogus"],
+    ["--"],
+    ["--", "synth"],
+    *([name, "-h"] for name in CENSUS if name is not None),
+    ["synth", "--version"],
+    ["synth", "--expr", "a", "--bogus"],
+    ["analytic", "--expr", "a"],
+    ["synth", "--expr", "a", "--kind", "vote"],
+    ["synth", "--expr", "a", "--dump"],
+    ["synth", "--t", "t.tt"],
+    ["synth", "--tab", "t.tt"],
+    ["profile", "--expr", "a", "extra"],
+    ["analytic", "--expr", "a", "--out=--"],
+    ["plot"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_command_parser_says_what_the_full_tree_says(capsys, monkeypatch, tmp_path, argv):
+    # main builds only the named command's subparser; every exit code, help
+    # text, usage line and error must be the full tree's
+    monkeypatch.chdir(tmp_path)
+    one = (main(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    full = (main(argv), *capsys.readouterr())
+    assert one == full
+    assert one[1] or one[2]
