@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 SIM = "src/probvoter/sim.py"
 ANALYTIC = "src/probvoter/analytic.py"
 CLI = "src/probvoter/cli.py"
+VOTER = "src/probvoter/voter.py"
 MUTANTS = (
     Mutant(
         "flip-cutoff-rounds-down", SIM,
@@ -113,6 +114,31 @@ MUTANTS = (
         "parser-for-the-wrong-command", CLI,
         "parser = build_parser(command)",
         'parser = build_parser(command and "synth")',
+    ),
+    Mutant(
+        "minterm-low-half-strictly-above", VOTER,
+        "if ones >= count]",
+        "if ones > count]",
+    ),
+    Mutant(
+        "threshold-walk-not-reversed", VOTER,
+        "for high_text, high_ones in reversed(high):",
+        "for high_text, high_ones in high:",
+    ),
+    Mutant(
+        "threshold-low-half-not-reversed", VOTER,
+        "for text, ones in reversed(low):",
+        "for text, ones in low:",
+    ),
+    Mutant(
+        "generic-tail-without-low-popcount", VOTER,
+        "tail_texts[high_ones + ones]",
+        "tail_texts[high_ones]",
+    ),
+    Mutant(
+        "plot-out-separator-dropped", CLI,
+        'f"{out}.manifest.json", args.out)',
+        'f"{out}.manifest.json")',
     ),
     Mutant(
         "missing-directory-not-refused", CLI,

@@ -128,25 +128,20 @@ def _evaluate(table: _Table, a: int) -> list[int]:
     return numerators
 
 
-def _availability_ratio(model: SystemModel) -> tuple[int, int]:
-    """A(p) as an unreduced numerator and the denominator d^k * 2^n."""
+def system_availability(model: SystemModel) -> Fraction:
+    """A(p) for one model: its numerator over d^k * 2^n, reduced."""
     p = model.p
     polynomial = _polynomial(model.profile, model.voter)
     table = _scale([polynomial], model.voter.k, p.denominator, model.profile.n)
     (numerator,) = _evaluate(table, p.numerator)
-    return numerator, table[0]
-
-
-def system_availability(model: SystemModel) -> Fraction:
-    return Fraction(*_availability_ratio(model))
+    return Fraction(numerator, table[0])
 
 
 def expected_errors(model: SystemModel, trials: int) -> Fraction:
     """Expected number of wrong voted outputs over `trials` uniform inputs."""
     if trials < 0:
         raise ValueError(f"trial count must be non-negative, got {trials}")
-    numerator, denominator = _availability_ratio(model)
-    return Fraction(trials * (denominator - numerator), denominator)
+    return trials * (1 - system_availability(model))
 
 
 @dataclass(frozen=True)

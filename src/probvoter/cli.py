@@ -543,7 +543,9 @@ def cmd_plot(args) -> int:
     data_path = out.with_suffix(".dat")
     if data_path == out:
         raise _CliError("--out must not itself end in .dat", EXIT_CONFIG)
-    _refuse_outputs([args.csv], data_path, out, f"{out}.manifest.json")
+    # Path drops a trailing separator, so args.out itself is checked too:
+    # "missing/" names a directory that must exist, not a file "missing"
+    _refuse_outputs([args.csv], data_path, out, f"{out}.manifest.json", args.out)
     data_lines = ["# " + CSV_HEADER.replace(",", " ")]
     data_lines.extend(" ".join(parts) for parts in rows)
     _write_text(str(data_path), "\n".join(data_lines) + "\n")

@@ -22,13 +22,16 @@ written out, for `synth` to print.  All arithmetic is over integers: no
 float enters a decision.
 The cost rule written out pattern class by pattern class lives in the
 tests as the oracle this formula is checked against.
+
+Every text `synth` prints (both SOPs and the generic cost table) is a
+function of popcounts: each term or row joins a high-half text to a
+low-half text, both halves from `_split_patterns`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
@@ -165,37 +168,39 @@ def _replica_names(k: int) -> tuple[str, ...]:
     return tuple(f"y{i}" for i in range(1, k + 1))
 
 
-def _pattern_texts(bits: Sequence[tuple[str, str]]) -> list[str]:
-    """The text of each pattern over len(bits) positions, ascending.
+def _split_patterns(pairs: Sequence[tuple[str, str]]) -> list[list[tuple[str, int]]]:
+    """The high ceil(k/2) and low floor(k/2) halves of y1..yk's patterns.
 
-    Position j (the first is the MSB) writes bits[j][0] for a 0 and bits[j][1]
-    for a 1, so the text at index p has p.bit_count() ones.  Built by
-    doubling: appending a position after pattern p gives 2p (its 0 text) then
-    2p + 1 (its 1 text).
+    pairs[j] is replica j's (0-text, 1-text).  Each half is its patterns'
+    (text, popcount) in ascending pattern order, its first replica the MSB.
+    Built by doubling: appending a replica after pattern p gives 2p (its
+    0-text) then 2p + 1 (its 1-text).
     """
-    texts = [""]
-    for pair in bits:
-        texts = [text + bit for text in texts for bit in pair]
-    return texts
+    split = (len(pairs) + 1) // 2
+    halves = []
+    for half in (pairs[:split], pairs[split:]):
+        texts = [""]
+        for pair in half:
+            texts = [text + bit for text in texts for bit in pair]
+        halves.append([(text, p.bit_count()) for p, text in enumerate(texts)])
+    return halves
 
 
 def minterm_sop_blocks(voter: VoterTable) -> Iterator[str]:
     """The canonical sum of minterms in blocks, to be joined by " + ".
 
-    A term is the literal string of the pattern's high ceil(k/2) bits joined
-    to that of its low floor(k/2) bits, each from a table of at most 256
-    strings; a high half with h ones takes every low half with >= t-h ones.
-    Each high half's terms are one block, `head + (" + " + head).join(lows)`;
-    a high half that takes no low half yields no block at all.  The
-    all-ones pattern is always accepted, so there is at least one block.
+    A term is a high half's literals joined to a low half's, each from
+    `_split_patterns`; a high half with h ones takes every low half with
+    >= t-h ones.  Each high half's terms are one block,
+    `head + (" + " + head).join(lows)`; a high half that takes no low half
+    yields no block at all.  The all-ones pattern is always accepted, so
+    there is at least one block.
     """
-    split = (voter.k + 1) // 2
     t = voter.threshold
-    literals = [("&!" + name, "&" + name) for name in _replica_names(voter.k)]
-    low = [(text, p.bit_count()) for p, text in enumerate(_pattern_texts(literals[split:]))]
+    high, low = _split_patterns([("&!" + name, "&" + name) for name in _replica_names(voter.k)])
     low_at_least = [[text for text, ones in low if ones >= count] for count in range(t + 1)]
-    for high, high_text in enumerate(_pattern_texts(literals[:split])):
-        lows = low_at_least[max(t - high.bit_count(), 0)]
+    for high_text, high_ones in high:
+        lows = low_at_least[max(t - high_ones, 0)]
         if lows:
             head = high_text[1:]
             yield head + (" + " + head).join(lows)
@@ -209,31 +214,22 @@ def emit_minterm_sop(voter: VoterTable) -> str:
 def _threshold_sop_blocks(voter: VoterTable) -> Iterator[str]:
     """The t-subset terms in `combinations` order, in blocks joined by " + ".
 
-    Among subsets of one size, `combinations` order is descending pattern
-    order (y1 is the MSB), so a subset's high ceil(k/2) names are walked in
-    descending pattern order and each high subset with h names is joined to
-    every (t - h)-subset of the low names, in `combinations` order.  The low
-    subsets of each size are joined once, on first use.
+    A subset is a pattern whose text names its 1s.  Among patterns of one
+    popcount, descending pattern order (y1 is the MSB) is `combinations`
+    order, so both halves from `_split_patterns` are walked in reverse, and
+    a high half with h names takes every low half with exactly t-h names.
     """
-    split = (voter.k + 1) // 2
     t = voter.threshold
-    names = _replica_names(voter.k)
-    low_names = names[split:]
-    lows_by_size = {}
-    heads = _pattern_texts([("", "&" + name) for name in names[:split]])
-    for high in range(len(heads) - 1, -1, -1):
-        size = t - high.bit_count()
-        if not 0 <= size <= len(low_names):
-            continue
-        head = heads[high][1:]
-        if size == 0:
-            yield head
-            continue
-        lows = lows_by_size.get(size)
-        if lows is None:
-            lows = lows_by_size[size] = list(map("&".join, combinations(low_names, size)))
-        # an empty head takes all t names from the low half, with no "&" before them
-        yield head + "&" + (" + " + head + "&").join(lows) if head else " + ".join(lows)
+    high, low = _split_patterns([("", "&" + name) for name in _replica_names(voter.k)])
+    low_exactly = {}
+    for text, ones in reversed(low):
+        low_exactly.setdefault(ones, []).append(text)
+    for high_text, high_ones in reversed(high):
+        lows = low_exactly.get(t - high_ones)
+        if lows:
+            head = high_text[1:]
+            # an empty head takes all t names from the low half: no "&" before them
+            yield head + (" + " + head).join(lows) if head else " + ".join(text[1:] for text in lows)
 
 
 def emit_threshold_sop(voter: VoterTable) -> tuple[str, SopMetrics]:
@@ -252,8 +248,8 @@ def render_generic_table(k: int) -> str:
     Costs are shown as expressions in the symbol error rates E0 and E1; rows
     whose outcome depends on the profile are marked X.  A row's costs and
     outcome depend only on its popcount, so they are built once per count.
-    A row is its padded high-half bits, its padded low-half bits and its
-    popcount's tail, each from a table built once.
+    A row is its padded high-half bits and its padded low-half bits, both
+    from `_split_patterns`, then the tail of their popcounts' sum.
     """
     check_replica_count(k)
     names = _replica_names(k)
@@ -277,12 +273,10 @@ def render_generic_table(k: int) -> str:
         return "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
 
     tail_texts = [cells(tail) for tail in tails]
-    split = (k + 1) // 2
     # A bit is one character, never wider than its replica's name.
     bits = [("0".ljust(len(name)) + "  ", "1".ljust(len(name)) + "  ") for name in names]
-    low = [(text, p.bit_count()) for p, text in enumerate(_pattern_texts(bits[split:]))]
+    high, low = _split_patterns(bits)
     lines = ["".join(name + "  " for name in names) + cells(header)]
-    for high, high_text in enumerate(_pattern_texts(bits[:split])):
-        high_ones = high.bit_count()
+    for high_text, high_ones in high:
         lines.extend(high_text + text + tail_texts[high_ones + ones] for text, ones in low)
     return "\n".join(lines)

@@ -731,6 +731,55 @@ def test_plot_out_into_a_missing_directory_writes_nothing(capsys, monkeypatch, t
     assert os.listdir() == ["exact.csv"]
 
 
+@pytest.mark.parametrize(
+    "out, error",
+    [
+        ("missing/", "cannot write missing/: there is no directory missing"),
+        ("f.tt/", "cannot write f.tt/: there is no directory f.tt"),
+    ],
+    ids=["missing-directory", "file-as-directory"],
+)
+def test_plot_out_ending_in_a_separator_names_a_directory(capsys, monkeypatch, tmp_path, out, error):
+    # "missing/" must not write a script named "missing" next to the CSV
+    monkeypatch.chdir(tmp_path)
+    Path("exact.csv").write_text(CSV_HEADER + "\n0.1,0.9,0.9,0.9,1,2,100\n")
+    Path("f.tt").write_bytes(TWO_ONES_FILE)
+    code, stdout, err = run(capsys, "plot", "exact.csv", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"probvoter: {error}\n"
+    assert sorted(os.listdir()) == ["exact.csv", "f.tt"]
+    assert Path("f.tt").read_bytes() == TWO_ONES_FILE
+
+
+def test_plot_out_ending_in_dat_writes_nothing(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path("exact.csv").write_text(CSV_HEADER + "\n0.1,0.9,0.9,0.9,1,2,100\n")
+    code, stdout, err = run(capsys, "plot", "exact.csv", "--out", "fig.dat")
+    assert (code, stdout, err) == (2, "", "probvoter: --out must not itself end in .dat\n")
+    assert os.listdir() == ["exact.csv"]
+
+
+def test_analytic_negative_trials_writes_nothing(capsys, monkeypatch, tmp_path):
+    def not_called(*args):
+        raise AssertionError("the scan ran before the trial count was refused")
+
+    monkeypatch.setattr(cli, "compare_and_crossover", not_called)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(
+        capsys, "analytic", "--expr", "a&b", "--pe", "0.1", "--trials", "-1", "--out", "x.csv"
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "probvoter: trial count must be non-negative, got -1\n"
+    assert os.listdir() == []
+
+
+def test_vars_with_an_empty_name_is_a_configuration_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "profile", "--expr", "a", "--vars", "a,")
+    assert (code, stdout, err) == (2, "", "probvoter: --vars: invalid variable name ''\n")
+    assert os.listdir() == []
+
+
 def _digests(names):
     return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
 

@@ -116,6 +116,14 @@ def test_unknown_variable_reports_first_occurrence():
     assert err.value.position == 4
 
 
+def test_more_declared_variables_than_max_arity():
+    names = tuple(f"v{i}" for i in range(21))
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("v0", names)
+    assert str(err.value) == "need between 1 and 20 variables, got 21 (at position 0)"
+    assert err.value.position == 0
+
+
 def test_table_file_identity():
     table = parse_table_file(b"x\n01\n")
     assert table.variables == ("x",)
