@@ -43,6 +43,7 @@ SIM = "src/probvoter/sim.py"
 ANALYTIC = "src/probvoter/analytic.py"
 CLI = "src/probvoter/cli.py"
 VOTER = "src/probvoter/voter.py"
+LOGIC = "src/probvoter/logic.py"
 MUTANTS = (
     Mutant(
         "flip-cutoff-rounds-down", SIM,
@@ -144,6 +145,21 @@ MUTANTS = (
         "missing-directory-not-refused", CLI,
         "        if parent and not os.path.isdir(parent):\n",
         "        if False:\n",
+    ),
+    Mutant(
+        "row-mask-split-by-a-whole-run", LOGIC,
+        "mask ^= mask << (size >> j + 1) & full",
+        "mask ^= mask << (size >> j) & full",
+    ),
+    Mutant(
+        "row-mask-past-the-last-row", LOGIC,
+        "mask ^= mask << (size >> j + 1) & full",
+        "mask ^= mask << (size >> j + 1)",
+    ),
+    Mutant(
+        "row-mask-for-every-declared-variable", LOGIC,
+        "        if name in seen:\n            masks",
+        "        if name in order:\n            masks",
     ),
 )
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .voter import ErrorProfile, VoterTable
+from .voter import ErrorProfile, VoterTable, _check_int
 
 # Not called here: the benchmark's tracer (bench/spans.py) wraps them by name.
 from .voter import synthesize_majority, synthesize_probabilistic  # noqa: F401
@@ -139,6 +139,7 @@ def system_availability(model: SystemModel) -> Fraction:
 
 def expected_errors(model: SystemModel, trials: int) -> Fraction:
     """Expected number of wrong voted outputs over `trials` uniform inputs."""
+    _check_int("trial count", trials)
     if trials < 0:
         raise ValueError(f"trial count must be non-negative, got {trials}")
     return trials * (1 - system_availability(model))

@@ -92,6 +92,10 @@ def _integer(text: str) -> int:
     return int(text, 0)
 
 
+# argparse names the type in its message: "invalid int value: '0x'"
+_integer.__name__ = "int"
+
+
 # Python refuses to convert an int of more than sys.get_int_max_str_digits()
 # digits (4,300 by default, never below 640) to text.  Longer ints are split
 # on a power of two and recombined in exact `decimal` arithmetic, which is
@@ -264,10 +268,10 @@ def _write_text(path: str, text: str) -> None:
     _write_bytes(path, text.encode("utf-8"))
 
 
-def _refuse_outputs(inputs, *paths) -> None:
+def _refuse_outputs(source: str | None, *paths) -> None:
     """Exit 2 if any of `paths` is empty, is in a directory that does not
-    exist, is a directory or is the same file as one of `inputs` (None
-    entries skipped).  Called before a command's first write, so a path
+    exist, is a directory or is the same file as the input `source`, if
+    there is one.  Called before a command's first write, so a path
     refused late leaves none of the earlier files behind."""
     for path in paths:
         if not path:
@@ -277,12 +281,10 @@ def _refuse_outputs(inputs, *paths) -> None:
             raise _CliError(f"cannot write {path}: there is no directory {parent}", EXIT_CONFIG)
         if os.path.isdir(path):
             raise _CliError(f"cannot write {path}: it is a directory", EXIT_CONFIG)
-        for source in filter(None, inputs):
-            if os.path.exists(path) and os.path.samefile(path, source):
-                raise _CliError(
-                    f"cannot write {path}: it is the same file as the input {source}",
-                    EXIT_CONFIG,
-                )
+        if source and os.path.exists(path) and os.path.samefile(path, source):
+            raise _CliError(
+                f"cannot write {path}: it is the same file as the input {source}", EXIT_CONFIG
+            )
 
 
 # A function's output line holds only '0' and '1', which JSON writes as they
@@ -416,7 +418,7 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG) from exc
-    _refuse_outputs([args.table], args.out, f"{args.out}.manifest.json")
+    _refuse_outputs(args.table, args.out, f"{args.out}.manifest.json")
     records = run_sweep(config)
     rows = [
         ",".join(
@@ -468,7 +470,7 @@ def cmd_analytic(args) -> int:
     sweep = _load_sweep(args)
     if args.trials < 0:
         raise _CliError(f"trial count must be non-negative, got {args.trials}", EXIT_CONFIG)
-    _refuse_outputs([args.table], args.out, f"{args.out}.manifest.json")
+    _refuse_outputs(args.table, args.out, f"{args.out}.manifest.json")
     try:
         comparison = compare_and_crossover(sweep.profile, sweep.majority, sweep.prob, sweep.grid)
     except ValueError as exc:
@@ -545,7 +547,7 @@ def cmd_plot(args) -> int:
         raise _CliError("--out must not itself end in .dat", EXIT_CONFIG)
     # Path drops a trailing separator, so args.out itself is checked too:
     # "missing/" names a directory that must exist, not a file "missing"
-    _refuse_outputs([args.csv], data_path, out, f"{out}.manifest.json", args.out)
+    _refuse_outputs(args.csv, data_path, out, f"{out}.manifest.json", args.out)
     data_lines = ["# " + CSV_HEADER.replace(",", " ")]
     data_lines.extend(" ".join(parts) for parts in rows)
     _write_text(str(data_path), "\n".join(data_lines) + "\n")

@@ -226,23 +226,6 @@ def _compile(text: str) -> tuple[list[tuple], dict[str, int], int, int]:
         i += 1
 
 
-def _row_order_mask(position: int, n: int) -> int:
-    """Bitmask over all 2^n rows where variable `position` (0 = MSB) is 1,
-    in row order: row 0 is the most significant bit.
-
-    Row 2^n - 1 - i negates every input of row i, so this is the complement
-    of the mask that keeps row i at bit i.
-    """
-    half = 1 << (n - 1 - position)
-    mask = (1 << half) - 1
-    period = half << 1
-    size = 1 << n
-    while period < size:
-        mask |= mask << period
-        period <<= 1
-    return mask
-
-
 def _eval_mask(code: list[tuple], masks: dict[str, int], full: int) -> int:
     """Run postfix code over masks of one bit order; the result has the same."""
     stack: list[int] = []
@@ -290,11 +273,19 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
             deepest_at,
         )
     full = (1 << size) - 1
-    # masks only for the variables the expression uses; no name keeps them,
-    # so they are freed before the text is built
-    result = _eval_mask(
-        code, {name: _row_order_mask(j, n) for j, name in enumerate(order) if name in seen}, full
-    )
+    # Row 0 is the most significant bit, so variable 0 is 1 in the low half
+    # of the bits.  Each variable splits every run of the one before it in
+    # two and is 1 in the lower half of each: XOR with the mask shifted up by
+    # half a run clears the upper half of each 1-run and sets the lower half
+    # of each 0-run.  Only the variables the expression uses keep a mask.
+    masks = {}
+    mask = full
+    for j, name in enumerate(order):
+        mask ^= mask << (size >> j + 1) & full
+        if name in seen:
+            masks[name] = mask
+    result = _eval_mask(code, masks, full)
+    del masks, mask  # no mask outlives the row text built next
     # row order: the binary text lists row 0 first
     bits = format(result, f"0{size}b").encode("ascii")
     return TruthTable._from_bits(order, bits.translate(_FROM_ASCII))

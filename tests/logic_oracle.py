@@ -138,7 +138,9 @@ def parse_expression(text: str, variables: Sequence[str] | None = None) -> Truth
     size = 1 << n
     masks = {name: _variable_mask(j, n) for j, name in enumerate(order)}
     result = _eval_mask(ast, masks, (1 << size) - 1)
-    return TruthTable(order, tuple((result >> row) & 1 for row in range(size)))
+    # these masks keep row i at bit i, so the binary text lists the last row first
+    bits = format(result, f"0{size}b")[::-1]
+    return TruthTable(order, bits.encode("ascii").translate(_FROM_ASCII))
 
 
 def parse_table_file(data: bytes) -> TruthTable:

@@ -157,6 +157,14 @@ def test_expected_errors_at_one_half(two_ones):
         expected_errors(model, -1)
 
 
+@pytest.mark.parametrize("trials", [2.5, 5000.0, True, Fraction(5000)], ids=repr)
+def test_expected_errors_takes_only_a_plain_int(two_ones, trials):
+    # a float count would make the count of errors a float (0.07 at 2.5)
+    model = SystemModel(error_profile(two_ones), synthesize_majority(3), Fraction(1, 2))
+    with pytest.raises(TypeError, match="trial count must be an int"):
+        expected_errors(model, trials)
+
+
 def test_total_inversion_defeats_every_voter():
     for n in (1, 2, 3):
         for n1 in range((1 << n) + 1):

@@ -132,3 +132,20 @@ def test_one_command_parser_says_what_the_full_tree_says(capsys, monkeypatch, tm
     full = (main(argv), *capsys.readouterr())
     assert one == full
     assert one[1] or one[2]
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [(("--seed",), "0x"), (("--seed",), "12a"), (("-k", "--replicas"), "x")],
+    ids=["seed-0x", "seed-12a", "replicas-x"],
+)
+def test_a_bad_integer_is_named_an_int(capsys, monkeypatch, tmp_path, option, value):
+    # the message names the type a user knows, never a private function
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--expr", "a", option[0], value, "--out", "x.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"probvoter simulate: error: argument {'/'.join(option)}: invalid int value: {value!r}"
+    )
+    assert not list(tmp_path.iterdir())

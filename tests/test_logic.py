@@ -387,6 +387,28 @@ def test_compiler_matches_recursive_oracle_on_every_short_string(length):
         _assert_matches_oracle("".join(chars))
 
 
+_NAMES_20 = tuple(f"x{i}" for i in range(20))
+
+
+def test_compiler_matches_recursive_oracle_on_a_20_variable_cube_sum():
+    # 32 cubes of 8 literals, the shape of the wide-n20 benchmark function
+    rng = random.Random(20)
+    cubes = [
+        "&".join(("" if rng.getrandbits(1) else "!") + _NAMES_20[j]
+                 for j in sorted(rng.sample(range(20), 8)))
+        for _ in range(32)
+    ]
+    text = " + ".join(cubes)
+    assert set(_compile(text)[1]) == set(_NAMES_20)
+    _assert_matches_oracle(text, _NAMES_20)
+    _assert_matches_oracle(text)
+
+
+@pytest.mark.parametrize("name", _NAMES_20)
+def test_compiler_matches_recursive_oracle_on_one_of_20_variables(name):
+    _assert_matches_oracle(name, _NAMES_20)
+
+
 def test_evaluate_and_index(two_ones):
     assert two_ones.index_of((1, 1, 1, 0)) == 14
     assert two_ones.evaluate((1, 1, 1, 0)) == 1
@@ -509,21 +531,10 @@ def test_symbol_counts_cover_all_rows(table):
 
 
 def test_expression_builds_masks_only_for_the_variables_it_uses():
-    names = tuple(f"x{i}" for i in range(20))
-    size = 1 << 20
-    ones = int.from_bytes(b"\x01" * size, "big")
-
-    def column(j):
-        # one byte per row, row 0 first: variable j is bit 19 - j of the row index
-        half = 1 << (19 - j)
-        return int.from_bytes((b"\x00" * half + b"\x01" * half) * (size // (2 * half)), "big")
-
-    x0, x3, x17 = column(0), column(3), column(17)
-    expected = ((x3 & (x17 ^ ones)) | (x3 & x0)).to_bytes(size, "big")
     text = "x3 & !x17 + x3&x0"
-    assert parse_expression(text, names) == TruthTable(names, expected)
+    assert parse_expression(text, _NAMES_20) == logic_oracle.parse_expression(text, _NAMES_20)
     # the row text and its 0/1 bytes, 1 MiB each, with the three 128 KiB
     # masks freed before them; one mask per declared variable peaked at
-    # 3,129,693 bytes
-    peak = _traced_peak(lambda: parse_expression(text, names))
+    # 3,199,557 bytes
+    peak = _traced_peak(lambda: parse_expression(text, _NAMES_20))
     assert peak < 2.5 * 2**20, f"traced peak {peak} bytes"
